@@ -58,9 +58,9 @@ void BM_RawRun(benchmark::State& state) {
 
 /// One full fuzzer step pipeline: record + invariant check every action +
 /// goal oracle. items/sec here IS fuzzer steps/sec. range(2) picks the
-/// per-action oracle (0 = full re-walk, 1 = incremental O(dirty)) — the
-/// spread between the two rows is what the incremental checker buys, and it
-/// widens with n (the full walk is O(n) per action, the footprint is not).
+/// per-action oracle (0 = full, 1 = incremental O(dirty)) — the spread
+/// between the two rows is what the incremental checker still buys; both
+/// are independent of n on healthy states.
 void BM_FuzzerSteps(benchmark::State& state) {
   explore::FuzzOptions options;
   options.algorithm = core::Algorithm::KnownKFull;

@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -68,6 +69,22 @@ inline void register_timing(const std::string& name, core::Algorithm algorithm,
       ->Unit(benchmark::kMillisecond);
 }
 
+/// The CPU model from /proc/cpuinfo ("" where it is absent), so a
+/// committed BENCH_*.json names the machine its rows were measured on.
+[[nodiscard]] inline std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    const auto colon = line.find(':');
+    if (line.rfind("model name", 0) != 0 || colon == std::string::npos) {
+      continue;
+    }
+    const auto start = line.find_first_not_of(" \t", colon + 1);
+    return start == std::string::npos ? "" : line.substr(start);
+  }
+  return "";
+}
+
 /// Standard main body: print the report, then run registered timings.
 inline int run_bench_main(int argc, char** argv, void (*print_report)(),
                           void (*register_timings)()) {
@@ -85,6 +102,9 @@ inline int run_bench_main(int argc, char** argv, void (*print_report)(),
 #else
   benchmark::AddCustomContext("udring_build_type", "debug");
 #endif
+  if (const std::string model = cpu_model(); !model.empty()) {
+    benchmark::AddCustomContext("cpu_model", model);
+  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -77,10 +77,11 @@ namespace {
 /// checking through `oracle` (which also judges the goal at quiescence).
 /// Shared by the fuzzing and replay paths so both stop at the same action
 /// with the same verdict — that is what makes a failing trace's digest
-/// reproducible. `mode` picks the per-action checker: Full re-walks
-/// everything each action; Incremental revalidates the action's footprint
-/// in O(dirty) (equivalent verdicts — the checks are passive, so the
-/// executed schedule and the event-log digest are mode-independent).
+/// reproducible. `mode` picks the per-action checker: Full validates every
+/// in-transit agent's queue each action; Incremental revalidates the
+/// action's footprint in O(dirty) (equivalent verdicts — the checks are
+/// passive, so the executed schedule and the event-log digest are
+/// mode-independent).
 ReplayOutcome drive_checked(sim::ExecutionState& sim, sim::Scheduler& scheduler,
                             const sim::GoalOracle& oracle,
                             OracleMode mode = OracleMode::Full,

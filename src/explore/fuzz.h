@@ -36,16 +36,16 @@
 namespace udring::explore {
 
 /// How the per-action model-invariant oracle runs during checked execution.
-/// Full re-walks every node and queue after every action — O(n + k) per
-/// action, the exhaustive default. Incremental revalidates only the
-/// action's {node, next(node)} footprint against shadow counts
-/// (sim::IncrementalInvariantChecker) with a periodic full re-walk as the
-/// safety net — O(dirty) per action, which is what makes per-action
-/// checking viable at n ≫ 100 (≥2× checked-fuzz throughput at n = 4096;
-/// see bench_streaming_campaign). Verdicts are equivalent on any violation
-/// a single action can introduce (tests/test_checker_incremental.cpp), so
-/// the mode changes cost, not coverage, and report digests match across
-/// modes.
+/// Full (the default) is sim::check_model_invariants: every queue holding
+/// an in-transit or crashed agent is validated after every action —
+/// O(k + queued agents) on healthy states, the O(n + k) walk only to word a
+/// failure. Incremental revalidates only the action's {node, next(node)}
+/// footprint against shadow counts (sim::IncrementalInvariantChecker) with
+/// a periodic O(n + k) walk as the safety net — O(dirty) per action. The
+/// two now cost about the same (bench_streaming_campaign reports the ratio
+/// at n = 4096). Verdicts are equivalent on any violation a single action
+/// can introduce (tests/test_checker_incremental.cpp), so the mode changes
+/// cost, not coverage, and report digests match across modes.
 enum class OracleMode { Full, Incremental };
 
 [[nodiscard]] std::string_view to_string(OracleMode mode) noexcept;
@@ -115,10 +115,9 @@ struct FuzzOptions {
   /// budget-free fuzz digests are byte-identical to pre-fault builds.
   std::size_t fault_crash_budget = 0;
   std::size_t fault_rewire_budget = 0;
-  /// Per-action invariant oracle (see OracleMode). Full by default;
-  /// Incremental for big instances.
+  /// Per-action invariant oracle (see OracleMode). Full by default.
   OracleMode oracle = OracleMode::Full;
-  /// Incremental oracle's safety-net interval (full re-walk every N
+  /// Incremental oracle's safety-net interval (O(n + k) walk every N
   /// actions; 0 = never).
   std::size_t oracle_full_check_every = 1024;
   /// Per-run action cap; 0 = the simulator's auto limit.

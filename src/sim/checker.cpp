@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "sim/model_invariants.h"
+
 namespace udring::sim {
 
 std::vector<std::size_t> ring_gaps(std::vector<std::size_t> positions,
@@ -59,6 +61,9 @@ CheckResult check_positions_uniform(std::vector<std::size_t> positions,
 namespace {
 
 CheckResult check_queues_empty(const Simulator& sim) {
+  // O(1) on the pass path: the queued-agent counter is Σ|q_v|. Only a
+  // failure walks the ring, to name the first occupied queue.
+  if (sim.queued_agents() == 0) return CheckResult::pass();
   for (NodeId node = 0; node < sim.node_count(); ++node) {
     if (sim.queue_length(node) != 0) {
       std::ostringstream why;
@@ -156,93 +161,9 @@ CheckResult check_uniform_deployment_without_termination(const Simulator& sim) {
   return UniformDeploymentOracle(false).check_goal(sim);
 }
 
-namespace {
-
-/// One queue member's local validity: InTransit status and a destination
-/// matching the queue it sits in. Shared verbatim by the full and
-/// incremental checkers so the two modes cannot drift apart in wording.
-CheckResult check_queue_member(const Simulator& sim, AgentId id, NodeId node) {
-  if (sim.status(id) != AgentStatus::InTransit &&
-      sim.status(id) != AgentStatus::Crashed) {
-    // A crash-stop corpse legitimately freezes inside the queue it was
-    // transiting (destination still must match below); every live member
-    // must be InTransit exactly as before.
-    std::ostringstream why;
-    why << "agent " << id << " is in queue to node " << node << " but has status "
-        << to_string(sim.status(id));
-    return CheckResult::fail(why.str());
-  }
-  if (sim.agent_node(id) != node) {
-    std::ostringstream why;
-    why << "agent " << id << " queue/destination mismatch";
-    return CheckResult::fail(why.str());
-  }
-  return CheckResult::pass();
-}
-
-/// One agent's status/queue-occurrence consistency given how many queues
-/// hold it. Shared by both checker modes.
-CheckResult check_occurrences(const Simulator& sim, AgentId id,
-                              std::size_t occurrences) {
-  if (sim.status(id) == AgentStatus::Crashed) {
-    // A corpse froze either in its link queue (1 occurrence) or in a
-    // staying set (0); more than one queue is corruption as always.
-    if (occurrences > 1) {
-      std::ostringstream why;
-      why << "crashed agent " << id << " appears in " << occurrences
-          << " queues";
-      return CheckResult::fail(why.str());
-    }
-    return CheckResult::pass();
-  }
-  const bool in_transit = sim.status(id) == AgentStatus::InTransit;
-  if (in_transit && occurrences != 1) {
-    std::ostringstream why;
-    why << "in-transit agent " << id << " appears in " << occurrences
-        << " queues";
-    return CheckResult::fail(why.str());
-  }
-  if (!in_transit && occurrences != 0) {
-    std::ostringstream why;
-    why << "staying agent " << id << " also appears in a link queue";
-    return CheckResult::fail(why.str());
-  }
-  return CheckResult::pass();
-}
-
-CheckResult check_token_monotonicity(const Simulator& sim,
-                                     std::size_t min_expected_tokens) {
-  // Token monotonicity: tokens are indelible, so the total may only grow,
-  // and in this paper's algorithms it is bounded by the number of agents.
-  const std::size_t total_tokens = sim.total_tokens();
-  if (total_tokens < min_expected_tokens) {
-    std::ostringstream why;
-    why << "token count decreased: " << total_tokens << " < "
-        << min_expected_tokens;
-    return CheckResult::fail(why.str());
-  }
-  return CheckResult::pass();
-}
-
-}  // namespace
-
 CheckResult check_model_invariants(const Simulator& sim,
                                    std::size_t min_expected_tokens) {
-  if (auto r = check_token_monotonicity(sim, min_expected_tokens); !r) return r;
-
-  // Every agent is either in exactly one link queue (in transit) or staying;
-  // queue members must have InTransit status and match their queue's node.
-  std::vector<std::size_t> seen_in_queue(sim.agent_count(), 0);
-  for (NodeId node = 0; node < sim.node_count(); ++node) {
-    for (const AgentId id : sim.link_queue(node)) {
-      ++seen_in_queue.at(id);
-      if (auto r = check_queue_member(sim, id, node); !r) return r;
-    }
-  }
-  for (AgentId id = 0; id < sim.agent_count(); ++id) {
-    if (auto r = check_occurrences(sim, id, seen_in_queue[id]); !r) return r;
-  }
-  return CheckResult::pass();
+  return invariants::check(sim, min_expected_tokens);
 }
 
 CheckResult IncrementalInvariantChecker::reset(const ExecutionState& sim,
@@ -250,7 +171,7 @@ CheckResult IncrementalInvariantChecker::reset(const ExecutionState& sim,
   rebuild_shadow(sim);
   actions_since_full_ = 0;
   full_checks_ = 0;
-  return check_model_invariants(sim, min_expected_tokens);
+  return invariants::walk(sim, min_expected_tokens);
 }
 
 void IncrementalInvariantChecker::rebuild_shadow(const ExecutionState& sim) {
@@ -284,12 +205,15 @@ CheckResult IncrementalInvariantChecker::check_after_action(
     // full validation instead of diffing against a foreign shadow.
     rebuild_shadow(sim);
     actions_since_full_ = 0;
-    return check_model_invariants(sim, min_expected_tokens);
+    return invariants::walk(sim, min_expected_tokens);
   }
 
   // total_tokens() is a maintained counter, so the global token check stays
   // exact and O(1) even in incremental mode.
-  if (auto r = check_token_monotonicity(sim, min_expected_tokens); !r) return r;
+  if (auto r = invariants::check_token_monotonicity(sim, min_expected_tokens);
+      !r) {
+    return r;
+  }
 
   // Diff the dirty queues against the shadow: membership counts update for
   // departed and (re)present members, and each current member is validated
@@ -311,7 +235,7 @@ CheckResult IncrementalInvariantChecker::check_after_action(
       ++in_queue_count_[id];
       touch(id);
       if (member_verdict.ok) {
-        member_verdict = check_queue_member(sim, id, node);
+        member_verdict = invariants::check_queue_member(sim, id, node);
       }
     }
   }
@@ -323,7 +247,10 @@ CheckResult IncrementalInvariantChecker::check_after_action(
   // Ascending agent order mirrors the full checker's occurrence sweep.
   std::sort(touched_.begin(), touched_.end());
   for (const AgentId id : touched_) {
-    if (auto r = check_occurrences(sim, id, in_queue_count_[id]); !r) return r;
+    if (auto r = invariants::check_occurrences(sim, id, in_queue_count_[id]);
+        !r) {
+      return r;
+    }
   }
 
   // Periodic safety net: a full re-walk catches any corruption outside the
@@ -332,7 +259,7 @@ CheckResult IncrementalInvariantChecker::check_after_action(
       ++actions_since_full_ >= options_.full_check_every) {
     actions_since_full_ = 0;
     ++full_checks_;
-    return check_model_invariants(sim, min_expected_tokens);
+    return invariants::walk(sim, min_expected_tokens);
   }
   return CheckResult::pass();
 }

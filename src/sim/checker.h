@@ -74,22 +74,33 @@ CheckResult check_uniform_deployment_with_termination(const Simulator& sim);
     "use UniformDeploymentOracle(false).check_goal() / core::make_goal_oracle")]]
 CheckResult check_uniform_deployment_without_termination(const Simulator& sim);
 
-/// Model invariants that must hold in *any* reachable configuration:
-/// agent/staying-set consistency, token conservation (tokens never exceed
-/// the number of agents and never decrease — callers track the prior count),
-/// and queue sanity. Used by randomized tests after every step. Reads queues
-/// and agents directly (no Snapshot materialization): O(n + k) time, O(k)
-/// scratch.
+/// Model invariants that must hold in *any* reachable configuration: the
+/// total token count is at least `min_expected_tokens` (tokens are
+/// indelible; callers pass the previous count), every queue member is in
+/// transit (or a crash-stop corpse) towards that queue's node, every
+/// in-transit agent sits in exactly one queue, a corpse in at most one and
+/// a staying agent in none. Used by drivers after every atomic action.
+///
+/// Cost O(k + queued agents) when the invariants hold: only the queues into
+/// the destinations of in-transit and crashed agents are visited, and their
+/// members must number ExecutionState::queued_agents() — the maintained
+/// Σ|q_v| over all n queues — which proves every unvisited queue empty.
+/// Any discrepancy falls through to the O(n + k) reference walk
+/// (invariants::walk in sim/model_invariants.h), so failure verdicts and
+/// reasons are the walk's, exactly. Allocation-free on the pass path
+/// (thread-local scratch).
 [[nodiscard]] CheckResult check_model_invariants(const Simulator& sim,
                                                  std::size_t min_expected_tokens);
 
-/// Incremental form of check_model_invariants for per-action checking at
-/// fuzz scale (n ≫ 100): instead of re-walking every node and queue after
-/// every atomic action, it revalidates only the action's conservative node
-/// footprint (ExecutionState::last_action_nodes() — {node, next(node)},
-/// the same bound the mc:: sleep sets use) against shadow queue-membership
-/// counts it maintains, in O(dirty) per action. Token monotonicity stays a
-/// full check — total_tokens() is O(1).
+/// Incremental form of check_model_invariants: instead of visiting the
+/// queue of every in-transit agent after every atomic action, it
+/// revalidates only the action's conservative node footprint
+/// (ExecutionState::last_action_nodes() — {node, next(node)}, the same
+/// bound the mc:: sleep sets use) against shadow queue-membership counts it
+/// maintains, in O(dirty) per action. Token monotonicity stays a full check
+/// — total_tokens() is O(1). check_model_invariants is O(k) on healthy
+/// states too, so the two cost about the same (bench_streaming_campaign
+/// reports the ratio).
 ///
 /// Soundness: a *legal* atomic action can only change state at its
 /// footprint, so any invariant violation a single action introduces is
@@ -97,7 +108,8 @@ CheckResult check_uniform_deployment_without_termination(const Simulator& sim);
 /// (tests/test_checker_incremental.cpp fuzzes this equivalence). A sim bug
 /// that corrupts state *outside* the last action's footprint is the one
 /// class the per-action scan could miss; `full_check_every` schedules a
-/// periodic full re-walk as the safety net for exactly that.
+/// periodic O(n + k) walk (invariants::walk, which trusts no counter) as
+/// the safety net for exactly that.
 ///
 /// Contract: reset() on the state you will step, then call
 /// check_after_action() after *every* atomic action (the shadow counts
@@ -108,8 +120,8 @@ CheckResult check_uniform_deployment_without_termination(const Simulator& sim);
 class IncrementalInvariantChecker {
  public:
   struct Options {
-    /// Run the full O(n + k) checker every this many actions (safety net);
-    /// 0 = never (pure incremental).
+    /// Run the O(n + k) reference walk every this many actions (safety
+    /// net); 0 = never (pure incremental).
     std::size_t full_check_every = 1024;
   };
 
@@ -176,10 +188,11 @@ class IncrementalInvariantChecker {
 ///   * check_goal   — is this quiescent configuration a correct outcome?
 ///   * check_action — did the last atomic action preserve the reachable-
 ///                    configuration model invariants? The default forwards
-///                    to check_model_invariants (or, when the caller passes
-///                    its pooled IncrementalInvariantChecker, to its
-///                    O(dirty) per-action form); problem-specific oracles
-///                    may override it to add per-action safety conditions.
+///                    to check_model_invariants, O(k + queued agents) (or,
+///                    when the caller passes its pooled
+///                    IncrementalInvariantChecker, to its O(dirty)
+///                    per-action form); problem-specific oracles may
+///                    override it to add per-action safety conditions.
 ///
 /// Oracles are immutable after construction and safe to share across the
 /// model checker's worker shards. Concrete oracles for the three problem
@@ -199,7 +212,7 @@ class GoalOracle {
 
   /// Per-action invariant hook; called by drivers after every atomic
   /// action. `incremental` is the caller's pooled checker (nullptr = run
-  /// the full O(n + k) sweep).
+  /// check_model_invariants).
   [[nodiscard]] virtual CheckResult check_action(
       const Simulator& sim, std::size_t min_expected_tokens,
       IncrementalInvariantChecker* incremental = nullptr) const;

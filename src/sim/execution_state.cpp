@@ -64,6 +64,7 @@ void ExecutionState::reset(const Instance& instance) {
   queues_.resize(n);
   staying_.resize(n);
   for (auto& queue : queues_) queue.clear();
+  queued_agents_ = 0;
   for (auto& set : staying_) set.clear();
   // Hot-path allocation hygiene: queues and staying sets can never exceed k
   // entries; a small up-front reservation makes steady-state actions
@@ -101,7 +102,7 @@ void ExecutionState::reset(const Instance& instance) {
     c.mailbox.clear();
     c.wake_ts = 0;
     c.last_ts = 0;
-    queues_[c.node].push_back(id);
+    enqueue(c.node, id);
   }
   for (AgentId id = 0; id < k; ++id) {
     refresh_enabled(id);
@@ -416,6 +417,24 @@ void ExecutionState::execute_action(AgentId id) {
   }
 }
 
+void ExecutionState::enqueue(NodeId node, AgentId id) {
+  queues_[node].push_back(id);
+  ++queued_agents_;
+}
+
+template <bool Fault>
+bool ExecutionState::dequeue(NodeId node, AgentId id) {
+  LinkQueue& queue = queues_[node];
+  if (!queue.empty() && queue.front() == id) {
+    queue.pop_front();
+  } else if (!Fault || !queue.remove(id)) {
+    // Only fault injection lets an agent jump the queue (see SimOptions).
+    return false;
+  }
+  --queued_agents_;
+  return true;
+}
+
 template <bool Logging, bool Fault>
 void ExecutionState::execute_action_impl(AgentId id) {
   AgentCell& c = agents_[id];
@@ -435,15 +454,11 @@ void ExecutionState::execute_action_impl(AgentId id) {
   const bool arrival = (c.status == AgentStatus::InTransit);
   std::uint64_t ts = c.last_ts;
   if (arrival) {
-    auto& queue = queues_[c.node];
-    if (!queue.empty() && queue.front() == id) {
-      queue.pop_front();
-    } else if (Fault && queue.remove(id)) {
-      // Fault injection: the agent jumped the queue (see SimOptions).
-    } else {
+    if (!dequeue<Fault>(c.node, id)) {
       throw std::logic_error(
           "ExecutionState: scheduled a non-head in-transit agent");
     }
+    const LinkQueue& queue = queues_[c.node];
     ts = std::max(ts, queue_arrival_ts_[c.node]);
     if (!queue.empty()) refresh_enabled_impl<Fault>(queue.front());
   } else if (!c.mailbox.empty()) {
@@ -485,7 +500,7 @@ void ExecutionState::execute_action_impl(AgentId id) {
       const NodeId dest = live_next(c.node);
       c.status = AgentStatus::InTransit;
       c.node = dest;
-      queues_[dest].push_back(id);
+      enqueue(dest, id);
       if (dest != last_action_nodes_[0]) {
         last_action_nodes_[1] = dest;
         last_action_node_count_ = 2;

@@ -241,6 +241,15 @@ class ExecutionState {
     return queues_.at(node).size();
   }
 
+  /// Σ|q_i|: agents currently held by link queues (in transit, or crashed
+  /// in transit). Maintained like total_tokens() — every queue mutation goes
+  /// through one private enqueue/dequeue pair that owns this counter — so
+  /// it is O(1), which is what lets per-action oracles prove every queue
+  /// they did not visit empty without walking the ring.
+  [[nodiscard]] std::size_t queued_agents() const noexcept {
+    return queued_agents_;
+  }
+
   /// Direct read access to q_node (FIFO order). Checkers iterate this
   /// instead of materializing a Snapshot — per-action oracles must not pay
   /// an O(n + k) allocation to look at two queues.
@@ -356,6 +365,13 @@ class ExecutionState {
   void refresh_enabled_impl(AgentId id);
   void add_to_staying(AgentId id);
   void remove_from_staying(AgentId id);
+  // The only writers of queues_ after reset() clears them, and so the only
+  // owners of queued_agents_. dequeue takes `id` off the head of q_node
+  // (or, under the non-FIFO fault, from anywhere in it) and returns false
+  // when it is not there.
+  void enqueue(NodeId node, AgentId id);
+  template <bool Fault>
+  [[nodiscard]] bool dequeue(NodeId node, AgentId id);
   /// Fires every fault event due at the current action counter (crash-stop
   /// faults take effect; rewire points become pending). Called at reset and
   /// after every action — guarded by has_fault_events_, so the fault-free
@@ -388,6 +404,7 @@ class ExecutionState {
   EventLog log_;
   std::size_t action_counter_ = 0;
   std::size_t total_tokens_ = 0;                   // invariant: sum of tokens_
+  std::size_t queued_agents_ = 0;                  // invariant: Σ queue sizes
   AgentId acting_agent_ = kNoAgentActing;
   std::array<NodeId, 2> last_action_nodes_{};      // footprint of last action
   std::size_t last_action_node_count_ = 0;

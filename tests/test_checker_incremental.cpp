@@ -1,8 +1,8 @@
 // Incremental-vs-full invariant checker equivalence.
 //
 // The incremental oracle (sim::IncrementalInvariantChecker) revalidates only
-// the last action's {node, next(node)} footprint; the full checker re-walks
-// every node and queue. On anything a single legal-or-faulted atomic action
+// the last action's {node, next(node)} footprint; the full checker validates
+// the queue of every in-transit agent. On anything a single legal-or-faulted atomic action
 // can produce, the two must return the SAME verdict with the SAME reason
 // wording — this file fuzzes that equivalence over random schedules of the
 // real algorithms, replays the whole tests/schedules/ regression corpus

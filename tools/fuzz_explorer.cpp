@@ -202,14 +202,14 @@ int main(int argc, char** argv) {
     options.workers = cli.get_size("workers", 0, "worker threads (0 = all cores)");
     const std::string oracle_name =
         cli.get("oracle",
-                "per-action invariant oracle: full (re-walk every node each "
-                "action) | incremental (O(dirty) footprint revalidation + "
-                "periodic full re-walk; use for --min-nodes >> 100)",
+                "per-action invariant oracle: full (every in-transit "
+                "agent's queue each action) | incremental (O(dirty) "
+                "footprint revalidation + periodic full walk)",
                 "full")
             .value_or("full");
     options.oracle_full_check_every = cli.get_size(
         "oracle-full-every", 1024,
-        "incremental oracle: full re-walk every N actions (0 = never)");
+        "incremental oracle: full walk every N actions (0 = never)");
     options.max_recorded_failures =
         cli.get_size("max-failures", 8, "failing traces to keep and shrink");
     options.fault_non_fifo = cli.get_flag(
