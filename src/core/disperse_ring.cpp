@@ -1,7 +1,5 @@
 #include "core/disperse_ring.h"
 
-#include <algorithm>
-
 #include "core/memory_meter.h"
 
 namespace udring::core {
@@ -27,8 +25,7 @@ sim::Behavior DisperseAgent::run(sim::AgentContext& ctx) {
   // header argument).
   ctx.set_phase(kSettle);
   const std::size_t rank = min_rotation(d_);
-  std::size_t dis_settle = rank;
-  for (std::size_t i = 0; i < rank; ++i) dis_settle += d_[i];
+  const std::size_t dis_settle = rank + sum(d_, rank);
   for (std::size_t i = 0; i < dis_settle; ++i) {
     co_await ctx.move();
   }
@@ -36,11 +33,9 @@ sim::Behavior DisperseAgent::run(sim::AgentContext& ctx) {
 }
 
 std::size_t DisperseAgent::compute_memory_bits() const {
-  const std::uint64_t max_d =
-      d_.empty() ? 1 : *std::max_element(d_.begin(), d_.end());
   return MemoryMeter{}
       .counter(k_)
-      .array(d_.size(), std::max<std::uint64_t>(max_d, n_))
+      .distances(d_, n_)
       .counter(n_)
       .bits();
 }

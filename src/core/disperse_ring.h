@@ -33,7 +33,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/distance_sequence.h"
+#include "core/memory_meter.h"
 #include "sim/agent.h"
 
 namespace udring::core {
@@ -56,7 +56,7 @@ class DisperseAgent final : public sim::AgentProgram {
 
  private:
   std::size_t k_;
-  DistanceSeq d_;
+  TrackedDistanceSeq d_;
   std::size_t n_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "core/distance_sequence.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 namespace udring::core {
@@ -15,10 +16,9 @@ DistanceSeq shift(const DistanceSeq& d, std::size_t x) {
   return out;
 }
 
-std::size_t sum(const DistanceSeq& d) {
-  std::size_t total = 0;
-  for (const Distance v : d) total += v;
-  return total;
+std::size_t sum(const DistanceSeq& d, std::size_t count) {
+  const auto end = d.begin() + static_cast<std::ptrdiff_t>(std::min(count, d.size()));
+  return std::accumulate(d.begin(), end, std::size_t{0});
 }
 
 int compare_rotations(const DistanceSeq& d, std::size_t x, std::size_t y) {

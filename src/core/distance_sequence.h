@@ -35,8 +35,8 @@ using DistanceSeq = std::vector<Distance>;
 /// taken modulo |D|. shift of an empty sequence is empty.
 [[nodiscard]] DistanceSeq shift(const DistanceSeq& d, std::size_t x);
 
-/// Sum of all elements (= n when D is a full configuration's sequence).
-[[nodiscard]] std::size_t sum(const DistanceSeq& d);
+/// Sum of the first `count` elements, all by default (= n for a full D).
+[[nodiscard]] std::size_t sum(const DistanceSeq& d, std::size_t count = SIZE_MAX);
 
 /// Index x of the lexicographically minimal rotation; ties broken by the
 /// smallest x. Naive O(k²) reference implementation.

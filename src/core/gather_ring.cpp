@@ -41,8 +41,7 @@ sim::Behavior PartialGatherAgent::run(sim::AgentContext& ctx) {
   const std::size_t groups = p / g_;
   const std::size_t group = std::min(rank / g_, groups - 1);
   const std::size_t gaps_ahead = rank - group * g_;
-  std::size_t dis_meet = 0;
-  for (std::size_t i = 0; i < gaps_ahead; ++i) dis_meet += d_[i];
+  const std::size_t dis_meet = sum(d_, gaps_ahead);
   for (std::size_t i = 0; i < dis_meet; ++i) {
     co_await ctx.move();
   }
@@ -50,12 +49,10 @@ sim::Behavior PartialGatherAgent::run(sim::AgentContext& ctx) {
 }
 
 std::size_t PartialGatherAgent::compute_memory_bits() const {
-  const std::uint64_t max_d =
-      d_.empty() ? 1 : *std::max_element(d_.begin(), d_.end());
   return MemoryMeter{}
       .counter(k_)
       .counter(g_)
-      .array(d_.size(), std::max<std::uint64_t>(max_d, n_))
+      .distances(d_, n_)
       .counter(n_)
       .flag()
       .bits();

@@ -42,7 +42,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/distance_sequence.h"
+#include "core/memory_meter.h"
 #include "core/problem.h"
 #include "sim/agent.h"
 
@@ -75,7 +75,7 @@ class PartialGatherAgent final : public sim::AgentProgram,
  private:
   std::size_t k_;
   std::size_t g_;
-  DistanceSeq d_;
+  TrackedDistanceSeq d_;
   std::size_t n_ = 0;
   bool unsolvable_ = false;
 };

@@ -1,7 +1,5 @@
 #include "core/known_k_full.h"
 
-#include <algorithm>
-
 #include "core/memory_meter.h"
 #include "core/targets.h"
 
@@ -34,8 +32,7 @@ sim::Behavior KnownKFullAgent::run(sim::AgentContext& ctx) {
   // --- deployment phase (lines 12–18) --------------------------------------
   ctx.set_phase(kDeployment);
   rank_ = min_rotation(d_);
-  dis_base_ = 0;
-  for (std::size_t i = 0; i < rank_; ++i) dis_base_ += d_[i];
+  dis_base_ = sum(d_, rank_);
   memory_changed();
 
   // b = symmetry degree: on periodic configurations each period block elects
@@ -50,11 +47,9 @@ sim::Behavior KnownKFullAgent::run(sim::AgentContext& ctx) {
 }
 
 std::size_t KnownKFullAgent::compute_memory_bits() const {
-  const std::uint64_t max_d =
-      d_.empty() ? 1 : *std::max_element(d_.begin(), d_.end());
   return MemoryMeter{}
       .counter(k_)
-      .array(d_.size(), std::max<std::uint64_t>(max_d, n_))
+      .distances(d_, n_)
       .counter(n_)
       .counter(rank_)
       .counter(dis_base_)
@@ -93,8 +88,7 @@ sim::Behavior KnownNFullAgent::run(sim::AgentContext& ctx) {
 
   ctx.set_phase(kDeployment);
   rank_ = min_rotation(d_);
-  dis_base_ = 0;
-  for (std::size_t i = 0; i < rank_; ++i) dis_base_ += d_[i];
+  dis_base_ = sum(d_, rank_);
   memory_changed();
 
   const TargetPlan plan =
@@ -107,11 +101,9 @@ sim::Behavior KnownNFullAgent::run(sim::AgentContext& ctx) {
 }
 
 std::size_t KnownNFullAgent::compute_memory_bits() const {
-  const std::uint64_t max_d =
-      d_.empty() ? 1 : *std::max_element(d_.begin(), d_.end());
   return MemoryMeter{}
       .counter(n_)
-      .array(d_.size(), std::max<std::uint64_t>(max_d, n_))
+      .distances(d_, n_)
       .counter(traveled_)
       .counter(rank_)
       .counter(dis_base_)

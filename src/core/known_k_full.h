@@ -28,7 +28,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/distance_sequence.h"
+#include "core/memory_meter.h"
 #include "sim/agent.h"
 
 namespace udring::core {
@@ -63,7 +63,7 @@ class KnownKFullAgent final : public sim::AgentProgram {
   std::size_t k_;
 
   // Algorithm state (named members so memory_bits/state_hash see them).
-  DistanceSeq d_;
+  TrackedDistanceSeq d_;
   std::size_t n_ = 0;
   std::size_t rank_ = 0;
   std::size_t dis_base_ = 0;
@@ -97,7 +97,7 @@ class KnownNFullAgent final : public sim::AgentProgram {
  private:
   std::size_t n_;
 
-  DistanceSeq d_;
+  TrackedDistanceSeq d_;
   std::size_t traveled_ = 0;
   std::size_t rank_ = 0;
   std::size_t dis_base_ = 0;

@@ -22,7 +22,7 @@ sim::Behavior PrematureHaltAgent::run(sim::AgentContext& ctx) {
     ++observed;
     if (observed % 4 == 0 && is_m_fold_repetition(d_, 4)) {
       k_est_ = observed / 4;
-      for (std::size_t i = 0; i < k_est_; ++i) n_est_ += d_[i];
+      n_est_ = sum(d_, k_est_);
       memory_changed();
     }
   }
@@ -32,8 +32,7 @@ sim::Behavior PrematureHaltAgent::run(sim::AgentContext& ctx) {
   ctx.set_phase(kDeploying);
   rank_ = min_rotation(d_);
   memory_changed();
-  std::size_t dis_base = 0;
-  for (std::size_t i = 0; i < rank_; ++i) dis_base += d_[i];
+  const std::size_t dis_base = sum(d_, rank_);
   const std::size_t offset =
       rank_ * (n_est_ / k_est_) + std::min(rank_, n_est_ % k_est_);
   for (std::size_t i = 0; i < dis_base + offset; ++i) {
@@ -43,10 +42,8 @@ sim::Behavior PrematureHaltAgent::run(sim::AgentContext& ctx) {
 }
 
 std::size_t PrematureHaltAgent::compute_memory_bits() const {
-  const std::uint64_t max_d =
-      d_.empty() ? 1 : *std::max_element(d_.begin(), d_.end());
   return MemoryMeter{}
-      .array(d_.size(), std::max<std::uint64_t>(max_d, n_est_))
+      .distances(d_, n_est_)
       .counter(n_est_)
       .counter(k_est_)
       .counter(rank_)

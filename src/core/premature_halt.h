@@ -26,7 +26,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/distance_sequence.h"
+#include "core/memory_meter.h"
 #include "sim/agent.h"
 
 namespace udring::core {
@@ -49,7 +49,7 @@ class PrematureHaltAgent final : public sim::AgentProgram {
   [[nodiscard]] std::size_t estimated_k() const noexcept { return k_est_; }
 
  private:
-  DistanceSeq d_;
+  TrackedDistanceSeq d_;
   std::size_t n_est_ = 0;
   std::size_t k_est_ = 0;
   std::size_t rank_ = 0;

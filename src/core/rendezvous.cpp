@@ -1,7 +1,5 @@
 #include "core/rendezvous.h"
 
-#include <algorithm>
-
 #include "core/memory_meter.h"
 
 namespace udring::core {
@@ -34,8 +32,7 @@ sim::Behavior RendezvousAgent::run(sim::AgentContext& ctx) {
   // agent; everyone walks to that agent's home node.
   ctx.set_phase(kGather);
   const std::size_t rank = min_rotation(d_);
-  std::size_t dis_base = 0;
-  for (std::size_t i = 0; i < rank; ++i) dis_base += d_[i];
+  const std::size_t dis_base = sum(d_, rank);
   for (std::size_t i = 0; i < dis_base; ++i) {
     co_await ctx.move();
   }
@@ -43,11 +40,9 @@ sim::Behavior RendezvousAgent::run(sim::AgentContext& ctx) {
 }
 
 std::size_t RendezvousAgent::compute_memory_bits() const {
-  const std::uint64_t max_d =
-      d_.empty() ? 1 : *std::max_element(d_.begin(), d_.end());
   return MemoryMeter{}
       .counter(k_)
-      .array(d_.size(), std::max<std::uint64_t>(max_d, n_))
+      .distances(d_, n_)
       .counter(n_)
       .flag()
       .bits();

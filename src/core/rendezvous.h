@@ -26,7 +26,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/distance_sequence.h"
+#include "core/memory_meter.h"
 #include "core/problem.h"
 #include "sim/agent.h"
 
@@ -54,7 +54,7 @@ class RendezvousAgent final : public sim::AgentProgram,
 
  private:
   std::size_t k_;
-  DistanceSeq d_;
+  TrackedDistanceSeq d_;
   std::size_t n_ = 0;
   bool unsolvable_ = false;
 };

@@ -93,13 +93,8 @@ std::unique_ptr<sim::Simulator> make_simulator(Algorithm algorithm,
       std::make_shared<const sim::Instance>(make_instance(algorithm, spec)));
 }
 
-sim::CheckResult evaluate_goal(Algorithm algorithm, const ProblemSpec& problem,
-                               const sim::Simulator& sim) {
-  return make_goal_oracle(algorithm, problem)->check_goal(sim);
-}
-
 sim::CheckResult evaluate_goal(Algorithm algorithm, const sim::Simulator& sim) {
-  return evaluate_goal(algorithm, ProblemSpec{}, sim);
+  return make_goal_oracle(algorithm, ProblemSpec{})->check_goal(sim);
 }
 
 namespace {

@@ -107,15 +107,9 @@ struct RunReport {
 [[nodiscard]] std::unique_ptr<sim::Simulator> make_simulator(Algorithm algorithm,
                                                              const RunSpec& spec);
 
-/// Evaluates the goal oracle of `problem` (resolved against `algorithm`)
-/// on a finished simulator. One-shot convenience over make_goal_oracle;
-/// drivers that judge many runs should build the oracle once instead.
-[[nodiscard]] sim::CheckResult evaluate_goal(Algorithm algorithm,
-                                             const ProblemSpec& problem,
-                                             const sim::Simulator& sim);
-
-/// Evaluates the algorithm's *natural* goal against a finished simulator
-/// (equivalent to passing ProblemSpec{} above).
+/// Evaluates the algorithm's *natural* goal on a finished simulator.
+/// One-shot convenience over make_goal_oracle; drivers that judge many runs
+/// should build the oracle once instead.
 [[nodiscard]] sim::CheckResult evaluate_goal(Algorithm algorithm,
                                              const sim::Simulator& sim);
 

@@ -28,8 +28,7 @@ sim::Behavior UnknownRelaxedAgent::run(sim::AgentContext& ctx) {
     if (observed % 4 == 0 && is_m_fold_repetition(d_, 4)) {
       // D = S^4: the agent believes it circled the ring four times.
       k_est_ = observed / 4;
-      n_est_ = 0;
-      for (std::size_t i = 0; i < k_est_; ++i) n_est_ += d_[i];
+      n_est_ = sum(d_, k_est_);
       first_n_est_ = n_est_;
       memory_changed();
     }
@@ -60,8 +59,7 @@ sim::Behavior UnknownRelaxedAgent::run(sim::AgentContext& ctx) {
     // ==== deployment phase (Algorithm 6, lines 1–10) ========================
     ctx.set_phase(kDeploying);
     rank_ = min_rotation(d_);  // < k_est_ because S is aperiodic
-    dis_base_ = 0;
-    for (std::size_t i = 0; i < rank_; ++i) dis_base_ += d_[i];
+    dis_base_ = sum(d_, rank_);
     memory_changed();
 
     // offset(rank) with the n' ≠ c·k' remainder rule (§3.1.1, one segment in
@@ -146,10 +144,8 @@ UnknownRelaxedAgent::pick_resume_message(
 }
 
 std::size_t UnknownRelaxedAgent::compute_memory_bits() const {
-  const std::uint64_t max_d =
-      d_.empty() ? 1 : *std::max_element(d_.begin(), d_.end());
   return MemoryMeter{}
-      .array(d_.size(), std::max<std::uint64_t>(max_d, n_est_))
+      .distances(d_, n_est_)
       .counter(n_est_)
       .counter(k_est_)
       .counter(nodes_)

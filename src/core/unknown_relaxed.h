@@ -42,7 +42,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/distance_sequence.h"
+#include "core/memory_meter.h"
 #include "sim/agent.h"
 #include "sim/message.h"
 
@@ -87,7 +87,7 @@ class UnknownRelaxedAgent final : public sim::AgentProgram {
   pick_resume_message(const std::vector<sim::Message>& inbox) const;
 
   // Algorithm state (named members for memory accounting & state hashing).
-  DistanceSeq d_;
+  TrackedDistanceSeq d_;
   std::size_t n_est_ = 0;
   std::size_t k_est_ = 0;
   std::size_t nodes_ = 0;

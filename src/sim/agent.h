@@ -252,7 +252,12 @@ class AgentProgram {
 
  protected:
   /// The actual bit accounting, overridden by algorithms (the former
-  /// memory_bits() body). Called only when the cache is stale.
+  /// memory_bits() body). Called only when the cache is stale — that is,
+  /// after every action that called memory_changed(), which for walking
+  /// agents is every move. It must therefore be O(1): never scan a state
+  /// array, but keep what the count needs (such as the maximum of a
+  /// sequence, core::TrackedDistanceSeq) up to date where the array is
+  /// written.
   [[nodiscard]] virtual std::size_t compute_memory_bits() const { return 0; }
 
   /// Algorithms call this after mutating any counted member. Cheap enough to

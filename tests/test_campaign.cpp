@@ -136,6 +136,28 @@ TEST(Campaign, AllScenariosSucceedOnPaperAlgorithms) {
   }
 }
 
+TEST(Campaign, AllRingAlgorithmsDigestIsPinned) {
+  // Behavioural pin over every ring algorithm: the digest folds each
+  // scenario's success, moves, makespan, actions and max_memory_bits, so a
+  // change to any agent's memory accounting moves it. The packed family at
+  // (64, 8) under round-robin is AlgoRelaxed.PackedConfigurationRegression's
+  // instance, where unknown-relaxed corrects a misestimate by reassigning D
+  // to a shifted copy of a patroller's sequence.
+  CampaignGrid grid;
+  grid.algorithms = {core::Algorithm::KnownKFull,     core::Algorithm::KnownNFull,
+                     core::Algorithm::KnownKLogMem,   core::Algorithm::KnownKLogMemStrict,
+                     core::Algorithm::UnknownRelaxed, core::Algorithm::Rendezvous,
+                     core::Algorithm::GatherRing,     core::Algorithm::DisperseRing};
+  grid.families = {ConfigFamily::RandomAny, ConfigFamily::Packed};
+  grid.schedulers = {sim::SchedulerKind::RoundRobin, sim::SchedulerKind::Random};
+  grid.instances = {{16, 4}, {64, 8}};
+  grid.seeds = 2;
+  grid.base_seed = 13;
+  const CampaignResult result = run_campaign(grid, {.workers = 2});
+  ASSERT_EQ(result.scenarios.size(), 8u * 2u * 2u * 2u * 2u);
+  EXPECT_EQ(result.digest(), 0xaaf5fb6240f55a8dULL) << std::hex << result.digest();
+}
+
 TEST(Campaign, FailingScenariosSurfaceInSummary) {
   CampaignGrid grid = small_grid();
   // An action budget of 1 cannot complete any run: every scenario must be

@@ -1,5 +1,6 @@
 // Tests for core/memory_meter.h — the bit accounting the paper's memory
-// claims are measured with.
+// claims are measured with, and the distance sequence whose maximum it
+// reads in O(1).
 
 #include "core/memory_meter.h"
 
@@ -42,6 +43,50 @@ TEST(MemoryMeter, MatchesPaperAsymptotics) {
   const std::size_t algo2 =
       MemoryMeter{}.counter(n).counter(n).counter(k).counter(k).bits();
   EXPECT_LT(algo2 * 8, algo1) << "Θ(log n) ≪ Θ(k log n) at these sizes";
+}
+
+TEST(TrackedDistanceSeq, EmptyCountsAsMaxOne) {
+  const TrackedDistanceSeq d;
+  EXPECT_EQ(d.size(), 0u);
+  EXPECT_EQ(d.max_or_one(), 1u);
+  EXPECT_EQ(MemoryMeter{}.distances(d, 0).bits(), 0u);
+}
+
+TEST(TrackedDistanceSeq, PushBackRaisesTheMax) {
+  TrackedDistanceSeq d;
+  d.push_back(3);
+  EXPECT_EQ(d.max_or_one(), 3u);
+  d.push_back(9);
+  EXPECT_EQ(d.max_or_one(), 9u);
+  d.push_back(4);
+  EXPECT_EQ(d.max_or_one(), 9u);
+  EXPECT_EQ(static_cast<const DistanceSeq&>(d), (DistanceSeq{3, 9, 4}));
+}
+
+TEST(TrackedDistanceSeq, ReassignmentToASmallerMaxLowersIt) {
+  // Unknown-relaxed's correction replaces D by a shifted copy of another
+  // agent's sequence, whose maximum may be smaller than the old one.
+  TrackedDistanceSeq d;
+  d.push_back(200);
+  d.push_back(1);
+  d = DistanceSeq{2, 5, 3};
+  EXPECT_EQ(d.max_or_one(), 5u);
+  EXPECT_EQ(MemoryMeter{}.distances(d, 1).bits(), 3u * 3u);
+  d = DistanceSeq{};
+  EXPECT_EQ(d.max_or_one(), 1u);
+  d.push_back(6);
+  EXPECT_EQ(d.max_or_one(), 6u);
+}
+
+TEST(TrackedDistanceSeq, DistancesTermMatchesTheArrayTerm) {
+  // The term every agent charges for D: |D| elements bounded by
+  // max(max D, bound), with an empty D counting as max 1.
+  TrackedDistanceSeq d;
+  for (const Distance x : {7u, 1u, 30u, 2u}) d.push_back(x);
+  EXPECT_EQ(MemoryMeter{}.distances(d, 10).bits(),
+            MemoryMeter{}.array(4, 30).bits());
+  EXPECT_EQ(MemoryMeter{}.distances(d, 1000).bits(),
+            MemoryMeter{}.array(4, 1000).bits());
 }
 
 }  // namespace
