@@ -7,7 +7,7 @@
 // it in cross-shard dedup loss, while the lock-free shared visited set
 // recovers the dedup at the cost of claim-order nondeterminism in WHO
 // expands a state (never in the counts — they are functions of the
-// claimed closure). The DPOR + symmetry layers are what push the
+// claimed closure). Dedup, sleep sets and DPOR are what push the
 // exhaustive grid to n=24 (2x the pre-DPOR maximum of n=12). The
 // google-benchmark timings land in the BENCH_mc.json CI artifact like
 // bench_campaign_engine's.
@@ -37,8 +37,8 @@ std::vector<BenchCell> bench_cells() {
   }
   return {{core::Algorithm::KnownKFull, 10, 3},
           {core::Algorithm::KnownKFull, 12, 4},
-          // 2x the pre-DPOR maximum n: exhaustive only because DPOR and
-          // the symmetry quotient cut the interleaving tree.
+          // 2x the pre-DPOR maximum n: exhaustive only because dedup,
+          // sleep sets and DPOR cut the interleaving tree.
           {core::Algorithm::KnownKFull, 24, 4},
           {core::Algorithm::KnownKLogMem, 8, 3},
           {core::Algorithm::KnownKLogMem, 10, 4},

@@ -1,7 +1,9 @@
 #include "explore/replay.h"
 
-#include <algorithm>
 #include <stdexcept>
+#include <string>
+
+#include "sim/execution_state.h"
 
 namespace udring::explore {
 
@@ -18,15 +20,31 @@ void RecordingScheduler::reset(std::size_t agent_count) {
   inner_->reset(agent_count);
 }
 
+namespace {
+
+/// The attached state, checked to be the one whose enabled set the engine
+/// handed to pick(): the sorted view is read off that state's bitset.
+const sim::ExecutionState& attached_state(
+    const sim::ExecutionState* sim, const std::vector<sim::AgentId>& enabled,
+    const char* who) {
+  if (sim == nullptr || &sim->enabled() != &enabled) {
+    throw std::logic_error(std::string(who) +
+                           ": pick() on a state it is not attached to");
+  }
+  return *sim;
+}
+
+}  // namespace
+
 sim::AgentId RecordingScheduler::pick(const std::vector<sim::AgentId>& enabled) {
+  const sim::ExecutionState& state =
+      attached_state(sim_, enabled, "RecordingScheduler");
   const sim::AgentId chosen = inner_->pick(enabled);
-  sorted_.assign(enabled.begin(), enabled.end());
-  std::sort(sorted_.begin(), sorted_.end());
-  const auto at = std::lower_bound(sorted_.begin(), sorted_.end(), chosen);
-  if (at == sorted_.end() || *at != chosen) {
+  if (chosen >= state.agent_count() ||
+      ((state.enabled_bits()[chosen / 64] >> (chosen % 64)) & 1) == 0) {
     throw std::logic_error("RecordingScheduler: inner pick not in enabled set");
   }
-  choices_.push_back(static_cast<std::uint32_t>(at - sorted_.begin()));
+  choices_.push_back(static_cast<std::uint32_t>(state.enabled_rank(chosen)));
   return chosen;
 }
 
@@ -39,43 +57,20 @@ std::size_t RecordingScheduler::pick_index(std::size_t bound) {
   return chosen;
 }
 
-void ReplayScheduler::reset(std::size_t /*agent_count*/) {
-  cursor_ = 0;
-  divergence_.clear();
-}
+void ReplayScheduler::reset(std::size_t /*agent_count*/) { cursor_ = 0; }
 
 sim::AgentId ReplayScheduler::pick(const std::vector<sim::AgentId>& enabled) {
-  sorted_.assign(enabled.begin(), enabled.end());
-  std::sort(sorted_.begin(), sorted_.end());
-  const bool exhausted = cursor_ >= choices_.size();
-  const std::uint32_t choice = exhausted ? 0 : choices_[cursor_];
-  if (mode_ == ReplayMode::Strict && divergence_.empty()) {
-    if (exhausted) {
-      divergence_ = "trace exhausted at pick " + std::to_string(cursor_);
-    } else if (choice >= sorted_.size()) {
-      divergence_ = "choice " + std::to_string(choice) + " out of range at pick " +
-                    std::to_string(cursor_) + " (enabled " +
-                    std::to_string(sorted_.size()) + ")";
-    }
-  }
+  const sim::ExecutionState& state =
+      attached_state(sim_, enabled, "ReplayScheduler");
+  const std::uint32_t choice =
+      cursor_ < choices_.size() ? choices_[cursor_] : 0;
   ++cursor_;
-  // Both modes proceed on the lenient fallback; Strict only *reports*, so a
-  // diverged run is still a complete schedule the caller can inspect.
-  return sorted_[choice % sorted_.size()];
+  return state.enabled_select(choice % enabled.size());
 }
 
 std::size_t ReplayScheduler::pick_index(std::size_t bound) {
-  const bool exhausted = cursor_ >= choices_.size();
-  const std::uint32_t choice = exhausted ? 0 : choices_[cursor_];
-  if (mode_ == ReplayMode::Strict && divergence_.empty()) {
-    if (exhausted) {
-      divergence_ = "trace exhausted at pick " + std::to_string(cursor_);
-    } else if (choice >= bound) {
-      divergence_ = "index " + std::to_string(choice) + " out of range at pick " +
-                    std::to_string(cursor_) + " (bound " +
-                    std::to_string(bound) + ")";
-    }
-  }
+  const std::uint32_t choice =
+      cursor_ < choices_.size() ? choices_[cursor_] : 0;
   ++cursor_;
   return choice % bound;
 }

@@ -15,6 +15,11 @@
 // each entry modulo the current enabled count, and an exhausted trace pads
 // with index 0 (a fixed fair fallback), so every candidate the shrinker
 // tries is a complete, valid schedule.
+//
+// Neither scheduler sorts: both read the sorted view off the attached
+// ExecutionState's enabled bitset (enabled_rank / enabled_select). They
+// must therefore be attached to the state whose enabled() they are handed —
+// run() attaches itself, and pick() throws std::logic_error otherwise.
 
 #pragma once
 
@@ -32,7 +37,10 @@ class RecordingScheduler final : public sim::Scheduler {
  public:
   explicit RecordingScheduler(std::unique_ptr<sim::Scheduler> inner);
 
-  void attach(const sim::ExecutionState& sim) override { inner_->attach(sim); }
+  void attach(const sim::ExecutionState& sim) override {
+    sim_ = &sim;
+    inner_->attach(sim);
+  }
   void reset(std::size_t agent_count) override;
   sim::AgentId pick(const std::vector<sim::AgentId>& enabled) override;
   /// Auxiliary draws (dynamic-ring rewiring strides, sim/fault.h) interleave
@@ -52,35 +60,23 @@ class RecordingScheduler final : public sim::Scheduler {
   std::unique_ptr<sim::Scheduler> inner_;
   std::string name_;
   std::vector<std::uint32_t> choices_;
-  std::vector<sim::AgentId> sorted_;  // scratch, reused across picks
+  const sim::ExecutionState* sim_ = nullptr;
 };
 
-/// How ReplayScheduler treats picks its trace cannot answer exactly.
-///
-///  - Lenient (default, the historical behaviour): every entry is reduced
-///    modulo the current enabled count and an exhausted trace pads with
-///    index 0. Mutated traces stay meaningful — this is what makes the
-///    shrinker's candidates complete schedules — but a replay that silently
-///    wraps can mask real divergence from the recorded execution.
-///  - Strict: an out-of-range entry or an exhausted trace is *reported* via
-///    diverged()/divergence() (the run still proceeds on the lenient
-///    fallback so callers can observe the aftermath). The mc:: model checker
-///    replays every backtracked prefix in this mode: a prefix that recorded
-///    branch index b must find at least b+1 enabled agents on re-execution,
-///    or determinism itself is broken.
-enum class ReplayMode { Lenient, Strict };
-
+/// Replays a recorded choice sequence. Every entry is reduced modulo the
+/// current enabled count and an exhausted trace pads with index 0, so a
+/// mutated trace is still a complete schedule — the shrinker's contract.
 class ReplayScheduler final : public sim::Scheduler {
  public:
-  explicit ReplayScheduler(std::vector<std::uint32_t> choices,
-                           ReplayMode mode = ReplayMode::Lenient)
-      : choices_(std::move(choices)), mode_(mode) {}
+  explicit ReplayScheduler(std::vector<std::uint32_t> choices)
+      : choices_(std::move(choices)) {}
 
+  void attach(const sim::ExecutionState& sim) override { sim_ = &sim; }
   void reset(std::size_t agent_count) override;
   sim::AgentId pick(const std::vector<sim::AgentId>& enabled) override;
   /// Consumes the next trace entry as an auxiliary index (rewiring stride
   /// draws), mirroring RecordingScheduler::pick_index: entries reduce modulo
-  /// `bound`, an exhausted trace pads with 0, Strict reports both cases.
+  /// `bound`, an exhausted trace pads with 0.
   [[nodiscard]] std::size_t pick_index(std::size_t bound) override;
   [[nodiscard]] std::string_view name() const override { return "replay"; }
 
@@ -90,21 +86,10 @@ class ReplayScheduler final : public sim::Scheduler {
     return choices_;
   }
 
-  /// Strict mode only: true once a pick was out of range or the trace was
-  /// exhausted. Cleared by reset(). Always false in Lenient mode.
-  [[nodiscard]] bool diverged() const noexcept { return !divergence_.empty(); }
-
-  /// Human-readable description of the first divergence ("" when none).
-  [[nodiscard]] const std::string& divergence() const noexcept {
-    return divergence_;
-  }
-
  private:
   std::vector<std::uint32_t> choices_;
-  ReplayMode mode_ = ReplayMode::Lenient;
   std::size_t cursor_ = 0;
-  std::string divergence_;
-  std::vector<sim::AgentId> sorted_;  // scratch, reused across picks
+  const sim::ExecutionState* sim_ = nullptr;
 };
 
 }  // namespace udring::explore

@@ -11,8 +11,6 @@
 #include <utility>
 
 #include "explore/fuzz.h"
-#include "explore/replay.h"
-#include "mc/symmetry.h"
 #include "sim/checker.h"
 #include "sim/footprint.h"
 #include "util/parallel.h"
@@ -39,8 +37,7 @@ struct ShardNode {
 /// Visited-state store for the (default) per-shard tree walk. Sleep masks
 /// feed the subset rule; the subtree summary (agents acted / nodes touched
 /// below the state, complete once the state's frame pops) is what lets DPOR
-/// stay sound across dedup cuts — see model_check.h. When symmetry is on,
-/// masks and sub_agents are stored in canonical rank space.
+/// stay sound across dedup cuts — see model_check.h.
 struct VisitedEntry {
   std::vector<AgentMask> masks;
   AgentMask sub_agents = 0;
@@ -95,8 +92,7 @@ class Explorer {
         visited_(std::move(visited_seed)),
         shared_(shared_visited),
         shared_actions_(shared_actions),
-        stop_flag_(stop_flag),
-        fault_mode_(instance.options().faults.has_events()) {}
+        stop_flag_(stop_flag) {}
 
   McStats stats;
   bool budget_stop = false;
@@ -149,16 +145,18 @@ class Explorer {
         }
         continue;
       }
-      const sim::AgentId agent = f.agents[static_cast<std::size_t>(b)];
       if (!at_tip_) {
         reposition();
-        sort_enabled();
-        if (sorted_ != f.agents) {
+        if (cur_.enabled().size() != f.branches ||
+            current_enabled_mask() != f.enabled_mask) {
           throw std::logic_error(
               "mc: enabled set changed on backtrack replay (determinism bug)");
         }
       }
-      const AgentMask child_sleep = inherit_sleep(f.agents, f.sleep, agent);
+      const sim::AgentId agent =
+          cur_.enabled_select(static_cast<std::size_t>(b));
+      const AgentMask child_sleep =
+          inherit_sleep(f.enabled_mask, f.sleep, agent);
       const std::size_t prev_tokens = cur_.total_tokens();
       // Footprint of the edge about to be taken, captured pre-step (the
       // shared {node, next(node)} bound from sim/footprint.h).
@@ -198,14 +196,18 @@ class Explorer {
   /// exhaustion.
   void expand_level(const std::vector<ShardNode>& level,
                     std::vector<ShardNode>& next) {
+    std::vector<sim::AgentId> agents;
     for (const ShardNode& node : level) {
       if (violation || budget_stop || should_stop()) return;
       path_ = node.prefix;
       reposition();
-      sort_enabled();
-      // Stepping invalidates the tip, and each sibling repositions; copy the
-      // branch agents up front.
-      const std::vector<sim::AgentId> agents = sorted_;
+      // Stepping invalidates the tip, and each sibling repositions; list the
+      // branch agents (sorted enabled ids) up front.
+      agents.clear();
+      for (std::size_t r = 0; r < cur_.enabled().size(); ++r) {
+        agents.push_back(cur_.enabled_select(r));
+      }
+      const AgentMask enabled_mask = current_enabled_mask();
       AgentMask sleep = node.sleep;
       ++stats.states_expanded;
       const auto branch_count = static_cast<branch_index_t>(agents.size());
@@ -220,7 +222,7 @@ class Explorer {
           path_ = node.prefix;
           reposition();
         }
-        const AgentMask child_sleep = inherit_sleep(agents, sleep, agent);
+        const AgentMask child_sleep = inherit_sleep(enabled_mask, sleep, agent);
         const std::size_t prev_tokens = cur_.total_tokens();
         path_.push_back(b);
         step(agent);
@@ -237,7 +239,8 @@ class Explorer {
 
  private:
   struct Frame {
-    std::vector<sim::AgentId> agents;  ///< sorted enabled set at this node
+    /// Enabled set at this node (0 beyond 64 agents, where the mask-driven
+    /// prunings are off); branch b is its b-th smallest agent id.
     AgentMask enabled_mask = 0;
     AgentMask sleep = 0;
     AgentMask done = 0;       ///< branches explored (or sleep-handled)
@@ -245,11 +248,10 @@ class Explorer {
     AgentMask sub_agents = 0;    ///< DPOR summary: agents acted below
     std::uint64_t sub_nodes = 0; ///< DPOR summary: nodes touched below
     std::uint64_t dedup_key = 0; ///< visited key (summary write-back)
-    /// id -> canonical rank at this node (symmetry + DPOR write-back only).
-    std::vector<std::uint32_t> rank;
-    branch_index_t next_branch = 0;  ///< sequential fallback (> 64 agents)
+    /// Enabled agents, or rewiring candidates at a rewire node.
+    branch_index_t branches = 0;
+    branch_index_t next_branch = 0;  ///< cursor: rewire node, > 64 agents
     bool rewire = false;             ///< branches = rewiring candidate strides
-    branch_index_t rewire_branches = 0;  ///< candidate count of a rewire node
     sim::AgentId entered_agent = 0;  ///< edge into this node (parent's pick)
     sim::NodeId entered_n1 = 0;      ///< that edge's footprint
     sim::NodeId entered_n2 = 0;
@@ -258,8 +260,8 @@ class Explorer {
   enum class NodeClass { Open, Leaf, DedupLeaf };
 
   /// What classify() learned at a node, for the DFS to thread into frames:
-  /// the visited key of an open node, or the stored subtree summary
-  /// (translated back to concrete agent ids) of a dedup hit.
+  /// the visited key of an open node, or the stored subtree summary of a
+  /// dedup hit.
   struct DedupHit {
     std::uint64_t key = 0;
     AgentMask sub_agents = 0;
@@ -276,6 +278,10 @@ class Explorer {
   [[nodiscard]] bool masks_usable() const noexcept {
     return cur_.agent_count() <= kMaskAgents;
   }
+  /// cur_'s enabled set as a frame mask (0 when masks are unusable).
+  [[nodiscard]] AgentMask current_enabled_mask() const noexcept {
+    return masks_usable() ? cur_.enabled_bits().front() : 0;
+  }
   [[nodiscard]] bool should_stop() const noexcept {
     return stop_flag_ != nullptr && stop_flag_->load(std::memory_order_relaxed);
   }
@@ -283,7 +289,7 @@ class Explorer {
   [[nodiscard]] Frame make_frame(AgentMask sleep, sim::AgentId entered,
                                  sim::NodeId n1, sim::NodeId n2,
                                  std::uint64_t dedup_key) {
-    if (fault_mode_ && cur_.pending_rewire()) {
+    if (cur_.pending_rewire()) {
       // A pending rewiring is its own choice-tree level: branches are the
       // candidate stride indices. The path-dependent prunings are forced
       // off under event plans (mc::check), so the frame only needs the
@@ -291,8 +297,7 @@ class Explorer {
       ++stats.states_expanded;
       Frame f;
       f.rewire = true;
-      f.rewire_branches =
-          static_cast<branch_index_t>(cur_.rewire_candidate_count());
+      f.branches = static_cast<branch_index_t>(cur_.rewire_candidate_count());
       f.sleep = sleep;
       f.entered_agent = entered;
       f.entered_n1 = n1;
@@ -300,27 +305,21 @@ class Explorer {
       f.dedup_key = dedup_key;
       return f;
     }
-    sort_enabled();
     ++stats.states_expanded;
     Frame f;
-    f.agents = sorted_;
+    f.enabled_mask = current_enabled_mask();
+    f.branches = static_cast<branch_index_t>(cur_.enabled().size());
     f.sleep = sleep;
     f.entered_agent = entered;
     f.entered_n1 = n1;
     f.entered_n2 = n2;
     f.dedup_key = dedup_key;
-    if (masks_usable()) {
-      for (const sim::AgentId a : f.agents) f.enabled_mask |= bit(a);
-    }
     if (options_.dpor) {
       // FG initialization: schedule one branch; every other branch runs
       // only if some deeper race re-arms it (dpor_push_update /
       // dpor_dedup_update).
       const AgentMask awake = f.enabled_mask & ~f.sleep;
       f.backtrack = awake == 0 ? 0 : awake & (~awake + 1);  // lowest bit
-      if (options_.symmetry && options_.dedup_states) {
-        f.rank = canon_.rank_table();  // for the pop-time summary write-back
-      }
     } else {
       f.backtrack = ~AgentMask{0};
     }
@@ -333,22 +332,17 @@ class Explorer {
   /// falls back to a plain scan when the instance exceeds the mask width,
   /// where sleep sets and DPOR are auto-disabled anyway.
   [[nodiscard]] int pick_branch(Frame& f) {
-    if (f.rewire) {
-      if (f.next_branch >= f.rewire_branches) return -1;
-      return static_cast<int>(f.next_branch++);
-    }
-    if (!masks_usable()) {
-      if (f.next_branch >= f.agents.size()) return -1;
+    if (f.rewire || !masks_usable()) {
+      if (f.next_branch >= f.branches) return -1;
       return static_cast<int>(f.next_branch++);
     }
     const AgentMask avail =
         f.backtrack & f.enabled_mask & ~f.done & ~f.sleep;
     if (avail == 0) return -1;
-    const auto agent =
-        static_cast<sim::AgentId>(std::countr_zero(avail));
-    f.done |= bit(agent);
-    const auto it = std::lower_bound(f.agents.begin(), f.agents.end(), agent);
-    return static_cast<int>(it - f.agents.begin());
+    const AgentMask lowest = avail & (~avail + 1);
+    f.done |= lowest;
+    // The branch index is the agent's rank among the enabled ids.
+    return std::popcount(f.enabled_mask & (lowest - 1));
   }
 
   /// Pops the exhausted top frame: accounts the branches DPOR / sleep sets
@@ -367,9 +361,7 @@ class Explorer {
     if (options_.dpor && options_.dedup_states && shared_ == nullptr) {
       const auto it = visited_.find(f.dedup_key);
       if (it != visited_.end()) {
-        it->second.sub_agents |= options_.symmetry
-                                     ? map_mask(f.sub_agents, f.rank)
-                                     : f.sub_agents;
+        it->second.sub_agents |= f.sub_agents;
         it->second.sub_nodes |= f.sub_nodes;
         it->second.summary_recorded = true;
       }
@@ -399,7 +391,8 @@ class Explorer {
   void dpor_push_update(std::vector<Frame>& stack) {
     if (stack.size() < 2) return;
     const Frame& top = stack.back();
-    for (const sim::AgentId p : top.agents) {
+    for (AgentMask rest = top.enabled_mask; rest != 0; rest &= rest - 1) {
+      const auto p = static_cast<sim::AgentId>(std::countr_zero(rest));
       const sim::ActionFootprint pfp = sim::action_footprint(cur_, p);
       for (std::size_t i = stack.size() - 1; i >= 1; --i) {
         const Frame& child = stack[i];  // edge stack[i-1] -> stack[i]
@@ -465,78 +458,44 @@ class Explorer {
     }
   }
 
-  /// Re-executes the current prefix from C_0 through a Strict-mode
-  /// ReplayScheduler: the divergence check on every backtrack. A prefix that
-  /// no longer replays exactly means the simulator is not deterministic in
-  /// the pick sequence — a checker-invalidating bug, reported loudly.
+  /// Re-executes the current prefix from C_0, driving the engine directly:
+  /// an entry at a pending rewiring is a candidate stride index (no
+  /// simulator action), every other entry the rank of the agent to step in
+  /// the sorted enabled set — the interpretation the DFS recorded the path
+  /// under. A prefix that no longer replays exactly means the simulator is
+  /// not deterministic in the choice sequence, a checker-invalidating bug
+  /// reported loudly.
   void reposition() {
     cur_.reset(instance_);
     if (!path_.empty()) {
-      if (fault_mode_) {
-        reposition_with_faults();
-      } else {
-        explore::ReplayScheduler replayer(path_, explore::ReplayMode::Strict);
-        replayer.reset(cur_.agent_count());
-        for (std::size_t i = 0; i < path_.size(); ++i) {
-          if (!cur_.step(replayer)) {
-            throw std::logic_error("mc: prefix replay hit quiescence early");
+      std::size_t actions = 0;
+      for (const branch_index_t entry : path_) {
+        if (cur_.pending_rewire()) {
+          if (entry >= cur_.rewire_candidate_count()) {
+            throw std::logic_error(
+                "mc: rewiring index out of range on prefix replay "
+                "(determinism bug)");
           }
+          cur_.apply_rewire(entry);
+          continue;
         }
-        if (replayer.diverged()) {
-          throw std::logic_error("mc: strict prefix replay diverged: " +
-                                 replayer.divergence());
+        if (cur_.quiescent()) {
+          throw std::logic_error("mc: prefix replay hit quiescence early");
         }
-        ++stats.replays;
-        stats.total_actions += path_.size();
-        if (shared_actions_ != nullptr) {
-          shared_actions_->fetch_add(path_.size(), std::memory_order_relaxed);
+        if (entry >= cur_.enabled().size()) {
+          throw std::logic_error(
+              "mc: choice out of range on prefix replay (determinism bug)");
         }
+        cur_.step_chosen(cur_.enabled_select(entry));
+        ++actions;
+      }
+      ++stats.replays;
+      stats.total_actions += actions;
+      if (shared_actions_ != nullptr) {
+        shared_actions_->fetch_add(actions, std::memory_order_relaxed);
       }
     }
     at_tip_ = true;
-  }
-
-  /// Fault-mode prefix replay: entries at pending-rewire points are
-  /// candidate stride indices (no simulator action), everything else an
-  /// index into the sorted enabled set — the same interpretation the DFS
-  /// used when it recorded the path, with the Strict divergence contract
-  /// enforced manually. ExecutionState::step() cannot drive this: it
-  /// resolves a pending rewiring and picks an agent in one call, which
-  /// over-consumes when the prefix ENDS at a rewiring point (the DFS
-  /// backtracks to rewire nodes to try their sibling strides).
-  void reposition_with_faults() {
-    std::size_t actions = 0;
-    for (std::size_t i = 0; i < path_.size(); ++i) {
-      const branch_index_t entry = path_[i];
-      if (cur_.pending_rewire()) {
-        if (entry >= cur_.rewire_candidate_count()) {
-          throw std::logic_error(
-              "mc: rewiring index out of range on prefix replay "
-              "(determinism bug)");
-        }
-        cur_.apply_rewire(entry);
-        continue;
-      }
-      sort_enabled();
-      if (entry >= sorted_.size()) {
-        throw std::logic_error(
-            "mc: choice out of range on prefix replay (determinism bug)");
-      }
-      if (!cur_.step_agent(sorted_[entry])) {
-        throw std::logic_error("mc: prefix replay hit quiescence early");
-      }
-      ++actions;
-    }
-    ++stats.replays;
-    stats.total_actions += actions;
-    if (shared_actions_ != nullptr) {
-      shared_actions_->fetch_add(actions, std::memory_order_relaxed);
-    }
-  }
-
-  void sort_enabled() {
-    sorted_.assign(cur_.enabled().begin(), cur_.enabled().end());
-    std::sort(sorted_.begin(), sorted_.end());
   }
 
   void step(sim::AgentId agent) {
@@ -552,15 +511,15 @@ class Explorer {
 
   /// Sleeping agents that stay asleep across the edge taken by `agent`:
   /// those whose pending action is independent of it (conservative
-  /// footprint disjointness on {node, next(node)}). `enabled_agents` is the
+  /// footprint disjointness on {node, next(node)}). `enabled_mask` is the
   /// node's enabled set (sleep ⊆ enabled always holds — see model_check.h).
-  [[nodiscard]] AgentMask inherit_sleep(
-      const std::vector<sim::AgentId>& enabled_agents, AgentMask sleep,
-      sim::AgentId agent) const {
+  [[nodiscard]] AgentMask inherit_sleep(AgentMask enabled_mask, AgentMask sleep,
+                                        sim::AgentId agent) const {
     if (!options_.sleep_sets || sleep == 0) return 0;
     AgentMask child = 0;
-    for (const sim::AgentId z : enabled_agents) {
-      if ((sleep & bit(z)) != 0 && independent(z, agent)) child |= bit(z);
+    for (AgentMask rest = sleep & enabled_mask; rest != 0; rest &= rest - 1) {
+      const auto z = static_cast<sim::AgentId>(std::countr_zero(rest));
+      if (independent(z, agent)) child |= bit(z);
     }
     return child;
   }
@@ -569,31 +528,13 @@ class Explorer {
     return sim::independent_actions(cur_, a, b);
   }
 
-  /// Dedup key of the configuration cur_ currently sits at. With symmetry
-  /// on this also refreshes the canonicalizer's rank tables for mask
-  /// translation.
-  [[nodiscard]] std::uint64_t dedup_key_of_current() {
-    return options_.symmetry ? canon_.canonical_digest(cur_)
-                             : cur_.config_digest();
-  }
-
   /// Key for a shard/tree root frame — only needed for the DPOR summary
   /// write-back, so skip the digest work otherwise.
-  [[nodiscard]] std::uint64_t root_dedup_key() {
+  [[nodiscard]] std::uint64_t root_dedup_key() const {
     if (options_.dpor && options_.dedup_states && shared_ == nullptr) {
-      return dedup_key_of_current();
+      return cur_.config_digest();
     }
     return 0;
-  }
-
-  [[nodiscard]] static AgentMask map_mask(
-      AgentMask mask, const std::vector<std::uint32_t>& rank) {
-    if (rank.empty()) return mask;  // identity (symmetry off)
-    AgentMask out = 0;
-    for (std::size_t id = 0; id < rank.size() && id < kMaskAgents; ++id) {
-      if ((mask >> id) & 1) out |= AgentMask{1} << rank[id];
-    }
-    return out;
   }
 
   /// Classifies the configuration just stepped into. Open means interior:
@@ -631,7 +572,7 @@ class Explorer {
     }
     if (!options_.dedup_states) return NodeClass::Open;
 
-    const std::uint64_t key = dedup_key_of_current();
+    const std::uint64_t key = cur_.config_digest();
     hit->key = key;
     if (shared_ != nullptr) {
       switch (shared_->insert(key)) {
@@ -645,15 +586,11 @@ class Explorer {
           return NodeClass::Leaf;
       }
     }
-    const AgentMask stored_sleep =
-        options_.symmetry ? canon_.to_canonical(sleep) : sleep;
     VisitedEntry& entry = visited_[key];
     for (const AgentMask mask : entry.masks) {
-      if ((mask & stored_sleep) == mask) {  // stored ⊆ current: covered
+      if ((mask & sleep) == mask) {  // stored ⊆ current: covered
         ++stats.states_deduped;
-        hit->sub_agents = options_.symmetry
-                              ? canon_.from_canonical(entry.sub_agents)
-                              : entry.sub_agents;
+        hit->sub_agents = entry.sub_agents;
         hit->sub_nodes = entry.sub_nodes;
         hit->summary_valid = entry.summary_recorded;
         return NodeClass::DedupLeaf;
@@ -663,11 +600,11 @@ class Explorer {
     // with more branches awake); drop the dominated entries.
     entry.masks.erase(
         std::remove_if(entry.masks.begin(), entry.masks.end(),
-                       [stored_sleep](AgentMask mask) {
-                         return (stored_sleep & mask) == stored_sleep;
+                       [sleep](AgentMask mask) {
+                         return (sleep & mask) == sleep;
                        }),
         entry.masks.end());
-    entry.masks.push_back(stored_sleep);
+    entry.masks.push_back(sleep);
     return NodeClass::Open;
   }
 
@@ -692,12 +629,7 @@ class Explorer {
   LockFreeVisitedSet* shared_ = nullptr;
   std::atomic<std::size_t>* shared_actions_ = nullptr;
   std::atomic<bool>* stop_flag_ = nullptr;
-  SymmetryCanonicalizer canon_;
-  /// True when the instance's fault plan has events: rewire choice levels
-  /// exist and prefixes replay through reposition_with_faults().
-  const bool fault_mode_ = false;
   std::vector<branch_index_t> path_;
-  std::vector<sim::AgentId> sorted_;  // scratch, reused across nodes
   bool at_tip_ = false;
 };
 
@@ -789,17 +721,11 @@ ModelCheckReport check(const CheckRequest& request, const McOptions& options) {
     // local transition two agents can commute around), so the path-dependent
     // prunings are unsound across fault boundaries and are forced off. The
     // BFS frontier phase is skipped too — rewiring choice levels exist only
-    // in the DFS walk. Dedup (and, crash-free, symmetry) stay sound because
-    // config_digest / canonical_digest fold the live fault state.
+    // in the DFS walk. Dedup stays sound because config_digest folds the
+    // live fault state.
     opts.sleep_sets = false;
     opts.dpor = false;
     opts.frontier_target = 1;
-  }
-  if (request.faults.has_crashes()) {
-    // A crash plan names concrete agent ids; quotienting by agent
-    // relabelling would merge states whose futures differ (the named agent
-    // dies, its image does not).
-    opts.symmetry = false;
   }
   const std::size_t node_count =
       request.topology.empty() ? request.node_count : request.topology.size();

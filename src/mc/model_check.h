@@ -16,13 +16,18 @@
 //
 // The walk is an iterative DFS with an explicit prefix stack over a pooled
 // sim::ExecutionState: descending one level is one atomic action; advancing
-// to a sibling re-executes the prefix from C_0 (the stateless discipline —
-// PR 3's arena reset makes this a near-free replay). Every such backtrack
-// re-run uses explore::ReplayScheduler in Strict mode and treats any
-// out-of-range/exhausted pick as a determinism bug (std::logic_error), so
-// the checker cannot silently wander off the recorded branch.
+// to a sibling re-executes the prefix from C_0 (the stateless discipline:
+// agents are coroutines, whose frames cannot be copied, so there is no
+// snapshot to restore). The replay drives the engine directly, with no
+// scheduler in between: each prefix entry is the rank of the agent to step
+// in the sorted enabled set, read off the state's enabled bitset
+// (ExecutionState::enabled_select), or a rewiring candidate index at a
+// pending rewiring. An out-of-range entry, early quiescence or a changed
+// enabled set at the backtrack target is a determinism bug
+// (std::logic_error), so the checker cannot silently wander off the
+// recorded branch.
 //
-// Four prunings, all verdict-preserving (pinned by test_mc.cpp's
+// Three prunings, all verdict-preserving (pinned by test_mc.cpp's
 // pruned == unpruned grids over every combination of the option flags):
 //  - Visited-state dedup on ExecutionState::config_digest(): a configuration
 //    reached again (necessarily at the same depth — the digest folds
@@ -57,13 +62,6 @@
 //    — and fully re-expands each pre-state whose edge races with it.
 //    Auto-disabled beyond 64 agents or 64 nodes (the summaries are
 //    bitmasks).
-//  - Anonymous-agent symmetry: dedup keys are SymmetryCanonicalizer's
-//    canonical digests (src/mc/symmetry.h), quotienting configurations by
-//    agent-id permutations — sound because agents are anonymous and every
-//    oracle is id-symmetric. Sleep masks and DPOR summaries stored under a
-//    canonical key are translated to canonical rank space on the way in and
-//    back to concrete agent ids on the way out, so the subset rule never
-//    compares masks from two different labellings.
 //
 // Parallel mode is frontier-sharded: a serial BFS expands the tree until a
 // level has at least `frontier_target` open nodes, each frontier node (its
@@ -156,8 +154,7 @@ struct CheckRequest {
   /// in `choices` and replay through the ordinary pick_index path. Plans
   /// with events force the path-dependent prunings off (sleep sets, DPOR —
   /// a crash is a global asymmetric event their independence relation does
-  /// not model) and crash plans force symmetry off (they name concrete
-  /// agent ids); dedup stays sound because config_digest folds the live
+  /// not model); dedup stays sound because config_digest folds the live
   /// fault state.
   sim::FaultPlan faults;
   /// Per-schedule action cap; 0 = the simulator's auto limit. Hitting it on
@@ -166,6 +163,9 @@ struct CheckRequest {
   std::size_t max_actions = 0;
 };
 
+/// The reductions and the work split of one mc::check. Every combination of
+/// the three prunings gives the same verdict (test_mc.cpp); none changes
+/// the dedup key, which is always ExecutionState::config_digest().
 struct McOptions {
   /// (a) visited-state deduplication on ExecutionState::config_digest().
   bool dedup_states = true;
@@ -179,11 +179,6 @@ struct McOptions {
   /// (header comment). Auto-disabled beyond 64 agents or 64 nodes, and in
   /// shared_visited mode (the reduction is path-dependent).
   bool dpor = true;
-  /// (d) anonymous-agent symmetry reduction: dedup on the canonical digest
-  /// of src/mc/symmetry.h instead of the raw config digest, merging states
-  /// that differ only by an agent-id permutation. No effect when
-  /// dedup_states is off.
-  bool symmetry = true;
   /// Replace the per-shard visited maps with one lock-free open-addressing
   /// hash set (util/visited_set.h) shared across the BFS phase and every
   /// frontier shard. Eliminates cross-shard re-exploration; forces
@@ -216,7 +211,7 @@ struct McStats {
   std::size_t states_deduped = 0;   ///< subtrees cut by the visited-state hash
   std::size_t sleep_pruned = 0;     ///< branches cut by sleep sets
   std::size_t dpor_pruned = 0;      ///< branches cut by DPOR backtrack sets
-  std::size_t replays = 0;          ///< strict prefix re-executions (backtracks)
+  std::size_t replays = 0;          ///< prefix re-executions (backtracks)
   std::size_t total_actions = 0;    ///< simulator actions executed, replays included
   std::size_t max_depth = 0;        ///< deepest schedule prefix reached
   std::size_t shards = 0;           ///< DFS shards executed (0 = BFS resolved all)

@@ -77,6 +77,7 @@ void ExecutionState::reset(const Instance& instance) {
   enabled_.clear();
   enabled_.reserve(k);
   enabled_pos_.assign(k, kNotEnabled);
+  enabled_bits_.assign((k + 63) / 64, 0);
 
   agents_.resize(k);
   for (AgentId id = 0; id < k; ++id) {
@@ -294,61 +295,65 @@ void fold_message(std::uint64_t& state, const Message& message) {
 }  // namespace
 
 std::uint64_t ExecutionState::config_digest() const {
-  std::uint64_t state = 0xc0f1Dd16e5700000ULL;  // "config-digest" domain
-  fold64(state, tokens_.size());
-  fold64(state, agents_.size());
-  for (const std::size_t count : tokens_) fold64(state, count);  // T
-  for (AgentId id = 0; id < agents_.size(); ++id) {              // S, M
+  // One chain per component, salted with its kind and index, summed: the
+  // sum is order-free, so the chains carry no dependency on one another.
+  // The index enters as a golden-ratio multiple, not by xor: a small first
+  // field (a status, a count) could cancel an xor-ed index and make two
+  // components' chains coincide.
+  const auto salt = [](std::uint64_t kind, std::uint64_t index) {
+    return kind + index * 0x9e3779b97f4a7c15ULL;
+  };
+  std::uint64_t components = 0;
+  for (AgentId id = 0; id < agents_.size(); ++id) {  // S, M
     const AgentCell& c = agents_[id];
-    fold64(state, static_cast<std::uint64_t>(c.status));
-    fold64(state, c.node);
+    std::uint64_t chain = salt(0xa6e27c4a17000000ULL, id);  // "agent chain"
+    fold64(chain, static_cast<std::uint64_t>(c.status));
+    fold64(chain, c.node);
     // Phase and action count are behavioural under the non-FIFO fault
     // (should_be_enabled reads both); including them unconditionally keeps
     // one digest definition for every mode, and commuting schedules agree
     // on per-agent counts, so dedup effectiveness is unaffected.
-    fold64(state, metrics_.agent(id).phase);
-    fold64(state, metrics_.agent(id).actions);
-    fold64(state, c.program->state_hash());
-    fold64(state, c.mailbox.size());
-    for (const Message& message : c.mailbox) fold_message(state, message);
+    fold64(chain, metrics_.agent(id).phase);
+    fold64(chain, metrics_.agent(id).actions);
+    fold64(chain, c.program->state_hash());
+    fold64(chain, c.mailbox.size());
+    for (const Message& message : c.mailbox) fold_message(chain, message);
+    components += chain;
   }
-  for (const auto& queue : queues_) {  // Q (FIFO order is state)
-    fold64(state, queue.size());
-    for (const AgentId member : queue) fold64(state, member);
+  // T and Q: a node with no tokens and an empty queue contributes nothing,
+  // which the node count folded below makes unambiguous.
+  for (NodeId node = 0; node < tokens_.size(); ++node) {
+    if (tokens_[node] != 0) {
+      std::uint64_t chain = salt(0x70cec4a170000000ULL, node);  // "token chain"
+      fold64(chain, tokens_[node]);
+      components += chain;
+    }
+    const LinkQueue& queue = queues_[node];
+    if (!queue.empty()) {  // FIFO order is state
+      std::uint64_t chain = salt(0x0e0ec4a170000000ULL, node);  // "queue chain"
+      fold64(chain, queue.size());
+      for (const AgentId member : queue) fold64(chain, member);
+      components += chain;
+    }
   }
   // P (staying membership) is fully determined by status + node above.
-  // Live fault state (no-op for event-free plans, keeping legacy digests
-  // byte-identical): what the adversary may still do is part of the
-  // configuration, or mc dedup would merge states with different futures.
-  fold_fault_state(state);
-  return state;
-}
-
-void ExecutionState::fold_fault_state(std::uint64_t& state) const noexcept {
-  if (!has_fault_events_) return;
-  state ^= 0xfa17d16e57a7e000ULL;  // "fault-state" domain
-  fold64(state, crash_cursor_);
-  fold64(state, rewire_cursor_);
-  fold64(state, pending_rewire_ ? 1 : 0);
-  fold64(state, live_stride_);
-  fold64(state, rewires_applied_);
-  fold64(state, drops_remaining_);
-  fold64(state, dups_remaining_);
-}
-
-std::uint64_t ExecutionState::agent_digest(AgentId id) const {
-  // Same per-agent folds as config_digest() above (kept in lockstep: a field
-  // added there without a fold here would let the symmetry quotient merge
-  // states whose agents are NOT interchangeable), under a separate domain.
-  std::uint64_t state = 0xa6e27d16e5700000ULL;  // "agent-digest" domain
-  const AgentCell& c = agents_[id];
-  fold64(state, static_cast<std::uint64_t>(c.status));
-  fold64(state, c.node);
-  fold64(state, metrics_.agent(id).phase);
-  fold64(state, metrics_.agent(id).actions);
-  fold64(state, c.program->state_hash());
-  fold64(state, c.mailbox.size());
-  for (const Message& message : c.mailbox) fold_message(state, message);
+  std::uint64_t state = 0xc0f1Dd16e5700000ULL;  // "config-digest" domain
+  fold64(state, components);
+  fold64(state, tokens_.size());
+  fold64(state, agents_.size());
+  // Live fault state, only for plans with fault events: what the adversary
+  // may still do is part of the configuration, or mc dedup would merge
+  // states with different futures.
+  if (has_fault_events_) {
+    state ^= 0xfa17d16e57a7e000ULL;  // "fault-state" domain
+    fold64(state, crash_cursor_);
+    fold64(state, rewire_cursor_);
+    fold64(state, pending_rewire_ ? 1 : 0);
+    fold64(state, live_stride_);
+    fold64(state, rewires_applied_);
+    fold64(state, drops_remaining_);
+    fold64(state, dups_remaining_);
+  }
   return state;
 }
 
@@ -614,15 +619,18 @@ template <bool Fault>
 void ExecutionState::refresh_enabled_impl(AgentId id) {
   const bool want = should_be_enabled_impl<Fault>(id);
   const std::size_t pos = enabled_pos_[id];
+  const std::uint64_t bit = std::uint64_t{1} << (id % 64);
   if (want && pos == kNotEnabled) {
     enabled_pos_[id] = enabled_.size();
     enabled_.push_back(id);
+    enabled_bits_[id / 64] |= bit;
   } else if (!want && pos != kNotEnabled) {
     const AgentId moved = enabled_.back();
     enabled_[pos] = moved;
     enabled_pos_[moved] = pos;
     enabled_.pop_back();
     enabled_pos_[id] = kNotEnabled;
+    enabled_bits_[id / 64] &= ~bit;
   }
 }
 

@@ -40,12 +40,14 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/agent.h"
@@ -176,9 +178,9 @@ class ExecutionState {
     return moved >= tokens_.size() ? moved - tokens_.size() : moved;
   }
 
-  /// Lane-stepping entry (sim::BatchArena's per-action call): executes one
-  /// atomic action for `id`, which MUST currently be enabled — typically
-  /// Scheduler::draw_batch's choice, so the membership re-check step_agent
+  /// Executes one atomic action for `id`, which MUST currently be enabled —
+  /// Scheduler::draw_batch's choice (sim::BatchArena) or an enabled_select
+  /// result (mc's prefix replay) — so the membership re-check step_agent
   /// performs is skipped. Behaviour is byte-identical to the action run()
   /// would execute for the same choice.
   void step_chosen(AgentId id) { execute_action(id); }
@@ -228,6 +230,43 @@ class ExecutionState {
   /// parked agents with pending mail).
   [[nodiscard]] const std::vector<AgentId>& enabled() const noexcept {
     return enabled_;
+  }
+
+  /// The enabled set as a bitset over agent ids (bit id % 64 of word
+  /// id / 64), kept in step with enabled() by the one writer of both. The
+  /// sorted-rank view the choice encoding needs (explore/replay.h, mc::)
+  /// reads this instead of copying and sorting enabled().
+  [[nodiscard]] std::span<const std::uint64_t> enabled_bits() const noexcept {
+    return enabled_bits_;
+  }
+
+  /// Number of enabled agents with an id smaller than `id` — the index `id`
+  /// has (or would have) in the sorted enabled set. Requires
+  /// id < agent_count().
+  [[nodiscard]] std::size_t enabled_rank(AgentId id) const noexcept {
+    const std::size_t word = id / 64;
+    std::size_t rank = 0;
+    for (std::size_t w = 0; w < word; ++w) {
+      rank += static_cast<std::size_t>(std::popcount(enabled_bits_[w]));
+    }
+    const std::uint64_t below = (std::uint64_t{1} << (id % 64)) - 1;
+    return rank +
+           static_cast<std::size_t>(std::popcount(enabled_bits_[word] & below));
+  }
+
+  /// The `rank`-th smallest enabled id (0-based): the inverse of
+  /// enabled_rank. Throws std::out_of_range when rank >= enabled().size().
+  [[nodiscard]] AgentId enabled_select(std::size_t rank) const {
+    if (rank >= enabled_.size()) {
+      throw std::out_of_range("ExecutionState: enabled rank out of range");
+    }
+    for (std::size_t w = 0;; ++w) {
+      for (std::uint64_t bits = enabled_bits_[w]; bits != 0; bits &= bits - 1) {
+        if (rank-- == 0) {
+          return static_cast<AgentId>(w * 64 + std::countr_zero(bits));
+        }
+      }
+    }
   }
 
   [[nodiscard]] bool quiescent() const noexcept { return enabled_.empty(); }
@@ -289,34 +328,25 @@ class ExecutionState {
   /// Canonical 64-bit digest of the configuration C = (S, T, M, P, Q): agent
   /// program states (status, node, phase, action count, AgentProgram::
   /// state_hash), token counts, undelivered message sequences, staying
-  /// membership (derived from status + node), and link-queue contents in
-  /// FIFO order. Deliberately EXCLUDES causal timestamps and the event log —
-  /// they record *history*, not state — so two schedules that reach the same
-  /// configuration by commuting independent actions digest equally. This is
-  /// the visited-state key of the mc:: stateless model checker; its fidelity
-  /// caveat is the AgentProgram contract that all algorithm state lives in
-  /// named members reported by state_hash() (coroutine-frame locals are
-  /// invisible), which src/mc's pruned-vs-unpruned equality tests exercise.
+  /// membership (derived from status + node), link-queue contents in FIFO
+  /// order, and — only when the instance's FaultPlan carries fault events —
+  /// the live fault state (crash cursor, rewire cursor, pending rewiring,
+  /// live stride, rewires applied, remaining drop/dup budgets), so what the
+  /// adversary may still do is part of the key. Deliberately EXCLUDES causal
+  /// timestamps and the event log — they record *history*, not state — so
+  /// two schedules that reach the same configuration by commuting
+  /// independent actions digest equally. This is the visited-state key of
+  /// the mc:: stateless model checker; its fidelity caveat is the
+  /// AgentProgram contract that all algorithm state lives in named members
+  /// reported by state_hash() (coroutine-frame locals are invisible), which
+  /// src/mc's pruned-vs-unpruned equality tests exercise.
+  ///
+  /// Each agent, each non-zero token count and each non-empty link queue is
+  /// hashed on its own short fold64 chain salted with its index, and the
+  /// chains are summed: independent chains keep the multiply latency off
+  /// one serial dependency. Only equality of digests is meaningful; no
+  /// value is pinned.
   [[nodiscard]] std::uint64_t config_digest() const;
-
-  /// Identity-free digest of one agent's contribution to the configuration:
-  /// exactly the per-agent fields config_digest() folds (status, node,
-  /// phase, action count, state_hash, undelivered mailbox contents), under
-  /// a distinct domain salt and without the agent's id. Agents are anonymous
-  /// in this model — AgentContext exposes neither node nor agent identity to
-  /// algorithm code — so two agents with equal agent_digest() are
-  /// behaviourally interchangeable up to link-queue membership. This is the
-  /// sort key of mc::SymmetryCanonicalizer's agent-permutation quotient.
-  [[nodiscard]] std::uint64_t agent_digest(AgentId id) const;
-
-  /// Folds the *live* fault state (current stride, pending/consumed
-  /// rewires, crash cursor, remaining drop/dup budgets) into `state` — but
-  /// only when the instance's FaultPlan carries fault events, so fault-free
-  /// digests are byte-identical to the pre-fault-layer ones. Shared by
-  /// config_digest() and mc::SymmetryCanonicalizer (which must fold exactly
-  /// the same fields, or the symmetry quotient would merge states whose
-  /// adversaries can still act differently).
-  void fold_fault_state(std::uint64_t& state) const noexcept;
 
   [[nodiscard]] std::size_t actions_executed() const noexcept {
     return action_counter_;
@@ -400,6 +430,7 @@ class ExecutionState {
   std::vector<std::uint64_t> queue_arrival_ts_;    // FIFO causal stamps
   std::vector<AgentId> enabled_;
   std::vector<std::size_t> enabled_pos_;           // id -> index in enabled_
+  std::vector<std::uint64_t> enabled_bits_;        // enabled_ as an id bitset
   Metrics metrics_;
   EventLog log_;
   std::size_t action_counter_ = 0;

@@ -36,12 +36,11 @@
 //    strides; candidate index i ↦ rewire_candidate_stride(n, i).
 //
 // Soundness note for the model checker: every piece of live fault state
-// (current stride, pending/consumed rewires, remaining drop/dup budgets) is
-// folded into ExecutionState::config_digest() — and, in lockstep, into the
-// symmetry canonicalizer's digest — whenever the plan carries fault events,
-// so two configurations that agree on (S, T, M, P, Q) but differ in what the
-// adversary may still do can never dedup together. Empty plans fold nothing,
-// keeping every pre-fault digest byte-identical.
+// (crash cursor, current stride, pending/consumed rewires, remaining
+// drop/dup budgets) is folded into ExecutionState::config_digest() whenever
+// the plan carries fault events, so two configurations that agree on
+// (S, T, M, P, Q) but differ in what the adversary may still do can never
+// dedup together. Empty plans fold nothing.
 //
 // This header is included by sim/instance.h; it must not include it back.
 

@@ -427,7 +427,7 @@ TEST(McFaultBudget, RewireBudgetEnumerationIsDeterministic) {
 
 TEST(McFaultBudget, VerdictAgreesAcrossEveryPruningCombo) {
   // The pruned == unpruned contract extended to fault enumeration: whatever
-  // combination of dedup / sleep sets / DPOR / symmetry is requested (fault
+  // combination of dedup / sleep sets / DPOR is requested (fault
   // plans force the unsound ones off internally), the verdict over a
   // nonzero fault budget must not move.
   mc::CheckRequest request;
@@ -440,12 +440,11 @@ TEST(McFaultBudget, VerdictAgreesAcrossEveryPruningCombo) {
 
   const mc::ModelCheckReport reference =
       mc::check_with_faults(request, budget, {});
-  for (int mask = 0; mask < 16; ++mask) {
+  for (int mask = 0; mask < 8; ++mask) {
     mc::McOptions options;
     options.dedup_states = (mask & 1) != 0;
     options.sleep_sets = (mask & 2) != 0;
     options.dpor = (mask & 4) != 0;
-    options.symmetry = (mask & 8) != 0;
     const mc::ModelCheckReport report =
         mc::check_with_faults(request, budget, options);
     EXPECT_EQ(report.ok, reference.ok) << "combo mask " << mask;

@@ -15,16 +15,22 @@
 //     replaying through the existing explore::replay_trace path to the same
 //     failure and digest.
 //  3. Pruned == unpruned verdict equality on grids where full enumeration
-//     is feasible, for every pruning combination (dedup × sleep sets × DPOR
-//     × symmetry), plus shared-visited-set runs whose verdicts and counts
-//     are byte-identical at any worker count.
+//     is feasible, for every pruning combination (dedup × sleep sets ×
+//     DPOR), plus shared-visited-set runs whose verdicts and counts are
+//     byte-identical at any worker count.
+//  4. Walk pins: ModelCheckReport::digest() — which folds every McStats
+//     count, replays and total actions included — pinned for one small
+//     instance of each benchmarked family and for fault-plan walks, so any
+//     change to the walk's order, prunings or replay count fails here.
 //
 // Plus the foundation the dedup pruning rests on: ExecutionState::
 // config_digest() must hash the configuration and not the history
-// (commuting independent actions converge; the event log does not).
+// (commuting independent actions converge; the event log does not), and
+// must separate configurations that differ in any single component.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,6 +39,7 @@
 #include "embed/topology.h"
 #include "explore/fuzz.h"
 #include "mc/model_check.h"
+#include "support/test_agents.h"
 #include "util/rng.h"
 
 namespace udring::mc {
@@ -84,6 +91,124 @@ TEST(ConfigDigest, CommutingIndependentActionsConverge) {
   EXPECT_EQ(ab->config_digest(), ba->config_digest());
   EXPECT_NE(ab->log().digest(), ba->log().digest())
       << "event logs record history and must distinguish the orders";
+}
+
+TEST(ConfigDigest, RelabellingAgentsChangesTheDigest) {
+  // The same ring configuration spelled with permuted agent ids: homes
+  // {0, 4} vs {4, 0}. Agent ids are part of the key (the checker keeps no
+  // symmetry quotient), so the spellings are distinct states — before and
+  // after the permuted first action.
+  core::RunSpec ab, ba;
+  ab.node_count = 8;
+  ab.homes = {0, 4};
+  ba.node_count = 8;
+  ba.homes = {4, 0};
+  const auto sim_ab = core::make_simulator(core::Algorithm::KnownKFull, ab);
+  const auto sim_ba = core::make_simulator(core::Algorithm::KnownKFull, ba);
+  EXPECT_NE(sim_ab->config_digest(), sim_ba->config_digest());
+  ASSERT_TRUE(sim_ab->step_agent(0));
+  ASSERT_TRUE(sim_ba->step_agent(1));
+  EXPECT_NE(sim_ab->config_digest(), sim_ba->config_digest());
+}
+
+/// Runs `instance` through `schedule` (agent ids, in order) on a fresh
+/// state and returns the reached configuration's digest.
+[[nodiscard]] std::uint64_t digest_after(
+    const sim::Instance& instance, const std::vector<sim::AgentId>& schedule) {
+  sim::ExecutionState state;
+  state.reset(instance);
+  for (const sim::AgentId id : schedule) {
+    EXPECT_TRUE(state.step_agent(id)) << "agent " << id << " not enabled";
+  }
+  return state.config_digest();
+}
+
+TEST(ConfigDigest, ChangesWithOneTokenCount) {
+  // One walker step each; the runs differ only in whether the walker left a
+  // token at its home (the walker's program state is identical).
+  const auto walker = [](bool drop) {
+    return sim::Instance(6, {0}, [drop](sim::AgentId) {
+      return std::make_unique<test::WalkerAgent>(2, drop);
+    });
+  };
+  EXPECT_NE(digest_after(walker(true), {0}), digest_after(walker(false), {0}));
+  EXPECT_EQ(digest_after(walker(true), {0}), digest_after(walker(true), {0}));
+}
+
+/// Moves `hops` nodes, stays once, then moves once more.
+class HopStayMove final : public sim::AgentProgram {
+ public:
+  explicit HopStayMove(std::size_t hops) : hops_(hops) {}
+  sim::Behavior run(sim::AgentContext& ctx) override {
+    for (std::size_t i = 0; i < hops_; ++i) co_await ctx.move();
+    co_await ctx.stay();
+    co_await ctx.move();
+  }
+  [[nodiscard]] std::string_view name() const override {
+    return "hop-stay-move";
+  }
+
+ private:
+  std::size_t hops_;
+};
+
+TEST(ConfigDigest, ChangesWithTheOrderOfOneLinkQueue) {
+  // Agent 0 (home 0) hops to node 1 and stays beside agent 1 (home 1); the
+  // two then leave for node 2 in either order. Every per-agent field is
+  // equal across the orders; only q_2 reads [1, 0] or [0, 1].
+  const sim::Instance instance(6, {0, 1}, [](sim::AgentId id) {
+    return std::make_unique<HopStayMove>(id == 0 ? 1 : 0);
+  });
+  const std::vector<sim::AgentId> meet = {0, 1, 0};
+  std::vector<sim::AgentId> one_first = meet;
+  one_first.insert(one_first.end(), {1, 0});
+  std::vector<sim::AgentId> zero_first = meet;
+  zero_first.insert(zero_first.end(), {0, 1});
+  EXPECT_NE(digest_after(instance, one_first),
+            digest_after(instance, zero_first));
+}
+
+TEST(ConfigDigest, ChangesWithOnePendingMessage) {
+  // A collector waits at node 1; a messenger arrives there and broadcasts.
+  // The runs differ only in the undelivered message's text.
+  const auto pair = [](std::string text) {
+    return sim::Instance(
+        6, {0, 1},
+        [text](sim::AgentId id) -> std::unique_ptr<sim::AgentProgram> {
+          if (id == 0) return std::make_unique<test::MessengerAgent>(1, text);
+          return std::make_unique<test::CollectorAgent>(1);
+        });
+  };
+  const std::vector<sim::AgentId> deliver = {1, 0, 0};
+  EXPECT_NE(digest_after(pair("a"), deliver), digest_after(pair("b"), deliver));
+}
+
+TEST(ConfigDigest, ChangesWithTheLiveFaultState) {
+  const auto with_plan = [](sim::FaultPlan plan) {
+    core::RunSpec spec;
+    spec.node_count = 6;
+    spec.homes = {0, 3};
+    spec.sim_options.faults = std::move(plan);
+    return core::make_instance(core::Algorithm::KnownKFull, spec);
+  };
+  // Pending rewiring: after one action the first plan's rewiring is pending
+  // and the second's is not yet due; the configurations are equal.
+  sim::FaultPlan due_now;
+  due_now.rewire_at = {1};
+  sim::FaultPlan due_later;
+  due_later.rewire_at = {2};
+  EXPECT_NE(digest_after(with_plan(due_now), {0}),
+            digest_after(with_plan(due_later), {0}));
+  // Crash cursor: agent 1 crashes after the first action in one plan and
+  // after the second in the other. The cursor cannot differ alone — every
+  // fired crash also marks its agent Crashed — so this pins that a fired
+  // crash is never merged with a pending one.
+  sim::FaultPlan crash_now;
+  crash_now.crashes = {{1, 1}};
+  sim::FaultPlan crash_later;
+  crash_later.crashes = {{1, 2}};
+  EXPECT_NE(digest_after(with_plan(crash_now), {0}),
+            digest_after(with_plan(crash_later), {0}));
 }
 
 TEST(ConfigDigest, DistinguishesSuccessiveConfigurations) {
@@ -290,38 +415,80 @@ TEST(PruningSoundness, VerdictEqualOnFullyEnumerableGrid) {
     for (const bool dedup : {false, true}) {
       for (const bool sleep : {false, true}) {
         for (const bool dpor : {false, true}) {
-          // Symmetry only acts through the dedup key; skip the redundant
-          // dedup=false duplicate to keep the grid's runtime in check.
-          for (const bool symmetry :
-               dedup ? std::vector<bool>{false, true}
-                     : std::vector<bool>{false}) {
-            McOptions options;
-            options.dedup_states = dedup;
-            options.sleep_sets = sleep;
-            options.dpor = dpor;
-            options.symmetry = symmetry;
-            const ModelCheckReport report = check(request, options);
-            EXPECT_TRUE(report.complete)
-                << core::to_string(cell.algorithm) << " n=" << cell.n;
-            if (!have_reference) {
-              reference = report;
-              have_reference = true;
-              EXPECT_GT(report.stats.schedules, 0u);
-            }
-            EXPECT_EQ(report.ok, reference.ok)
-                << core::to_string(cell.algorithm) << " n=" << cell.n
-                << " dedup=" << dedup << " sleep=" << sleep
-                << " dpor=" << dpor << " symmetry=" << symmetry;
-            EXPECT_EQ(report.verdict, reference.verdict);
-            // Pruning may only shrink the walk, never grow it.
-            EXPECT_LE(report.stats.schedules, reference.stats.schedules);
-            EXPECT_LE(report.stats.states_expanded,
-                      reference.stats.states_expanded);
+          McOptions options;
+          options.dedup_states = dedup;
+          options.sleep_sets = sleep;
+          options.dpor = dpor;
+          const ModelCheckReport report = check(request, options);
+          EXPECT_TRUE(report.complete)
+              << core::to_string(cell.algorithm) << " n=" << cell.n;
+          if (!have_reference) {
+            reference = report;
+            have_reference = true;
+            EXPECT_GT(report.stats.schedules, 0u);
           }
+          EXPECT_EQ(report.ok, reference.ok)
+              << core::to_string(cell.algorithm) << " n=" << cell.n
+              << " dedup=" << dedup << " sleep=" << sleep << " dpor=" << dpor;
+          EXPECT_EQ(report.verdict, reference.verdict);
+          // Pruning may only shrink the walk, never grow it.
+          EXPECT_LE(report.stats.schedules, reference.stats.schedules);
+          EXPECT_LE(report.stats.states_expanded,
+                    reference.stats.states_expanded);
         }
       }
     }
   }
+}
+
+// ---- 4. walk pins -----------------------------------------------------------
+
+TEST(WalkPins, DefaultWalkOfEachBenchmarkedFamily) {
+  // One n = 8 instance per mc-verify family, uniform homes, default options.
+  // The digest folds the verdict and every McStats count, so a change to
+  // the walk order, a pruning, or the number of replayed actions moves it.
+  struct Pin {
+    core::Algorithm algorithm;
+    std::size_t k;
+    std::uint64_t digest;
+  };
+  const std::vector<Pin> pins = {
+      {core::Algorithm::KnownKFull, 3, 0xc58661e28e701cd6ULL},
+      {core::Algorithm::KnownKLogMem, 3, 0xd17ace579966baf9ULL},
+      {core::Algorithm::UnknownRelaxed, 2, 0xdfe5c2e80da3c0f4ULL},
+      {core::Algorithm::GatherRing, 3, 0xf649b3ed13e02561ULL},
+      {core::Algorithm::DisperseRing, 3, 0xdf690a007fe81f94ULL},
+  };
+  for (const Pin& pin : pins) {
+    const ModelCheckReport report =
+        check(ring_request(pin.algorithm, 8, gen::uniform_homes(8, pin.k)));
+    EXPECT_EQ(report.verdict, "verified") << core::to_string(pin.algorithm);
+    EXPECT_GT(report.stats.replays, 0u) << core::to_string(pin.algorithm);
+    EXPECT_EQ(report.digest(), pin.digest) << core::to_string(pin.algorithm);
+  }
+}
+
+TEST(WalkPins, FaultPlanWalks) {
+  // Crash and rewiring budgets enumerated over a 5-ring: clean plan,
+  // rewiring-only plans (rewire choice levels in the walk), then crash
+  // plans until the first violation.
+  CheckRequest request = ring_request(core::Algorithm::KnownKFull, 5, {0, 2});
+  FaultBudget budget;
+  budget.crashes = 1;
+  budget.rewires = 1;
+  budget.max_fault_action = 3;
+  const ModelCheckReport enumerated = check_with_faults(request, budget);
+  EXPECT_EQ(enumerated.verdict, "violation");
+  EXPECT_EQ(enumerated.digest(), 0x6c5424d6140ec7dbULL);
+
+  // One explicit plan with a crash and a rewiring point.
+  request = ring_request(core::Algorithm::KnownKFull, 6, {0, 3});
+  request.faults.crashes = {{1, 20}};
+  request.faults.rewire_at = {2};
+  const ModelCheckReport planned = check_with_faults(request, {});
+  EXPECT_EQ(planned.verdict, "violation");
+  EXPECT_GT(planned.stats.replays, 0u);
+  EXPECT_EQ(planned.digest(), 0x55083fd9e07c0814ULL);
 }
 
 // ---- shared visited set -----------------------------------------------------

@@ -15,7 +15,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "core/runner.h"
@@ -23,6 +25,7 @@
 #include "explore/fuzz.h"
 #include "explore/replay.h"
 #include "explore/trace.h"
+#include "support/test_agents.h"
 #include "util/rng.h"
 
 namespace udring::explore {
@@ -197,57 +200,70 @@ TEST(ScheduleCorpus, EveryTraceReplaysToItsRecordedDigest) {
 
 // ---- replay mechanics -------------------------------------------------------
 
+/// Agents homed at {5, 1, 9} of a 12-ring that stay put forever: every pick
+/// sees the same enabled set, sorted {0, 1, 2} by id.
+[[nodiscard]] sim::Instance sitters() {
+  return sim::Instance(12, {5, 1, 9}, [](sim::AgentId) {
+    return std::make_unique<test::SitterAgent>(1000);
+  });
+}
+
 TEST(ReplayScheduler, PadsExhaustedTraceWithFallback) {
+  const sim::Instance instance = sitters();
+  sim::ExecutionState state;
+  state.reset(instance);
   ReplayScheduler scheduler({2, 1});
+  scheduler.attach(state);
   scheduler.reset(3);
-  const std::vector<sim::AgentId> enabled = {5, 1, 9};
-  EXPECT_EQ(scheduler.pick(enabled), 9u);  // sorted {1,5,9}[2]
-  EXPECT_EQ(scheduler.pick(enabled), 5u);  // sorted {1,5,9}[1]
-  EXPECT_EQ(scheduler.pick(enabled), 1u);  // exhausted -> index 0
+  EXPECT_EQ(scheduler.pick(state.enabled()), 2u);  // sorted {0,1,2}[2]
+  EXPECT_EQ(scheduler.pick(state.enabled()), 1u);  // sorted {0,1,2}[1]
+  EXPECT_EQ(scheduler.pick(state.enabled()), 0u);  // exhausted -> index 0
   EXPECT_EQ(scheduler.consumed(), 3u);
-  // Lenient mode is the shrinker's contract: padding and wrapping stay
-  // silent, so a mutated trace is always a complete schedule.
-  EXPECT_FALSE(scheduler.diverged());
-  EXPECT_EQ(scheduler.divergence(), "");
 }
 
 TEST(ReplayScheduler, ReducesChoicesModuloEnabledCount) {
+  const sim::Instance instance = sitters();
+  sim::ExecutionState state;
+  state.reset(instance);
   ReplayScheduler scheduler({7});
-  scheduler.reset(2);
-  EXPECT_EQ(scheduler.pick({4, 2}), 4u);  // sorted {2,4}[7 % 2 = 1]
-  EXPECT_FALSE(scheduler.diverged());
-}
-
-TEST(ReplayScheduler, StrictModeReportsExhaustedTrace) {
-  // The model checker's backtrack contract: the same picks as Lenient (the
-  // run proceeds on the fallback so the aftermath is observable), but the
-  // exhaustion is reported instead of silently masked.
-  ReplayScheduler scheduler({2}, ReplayMode::Strict);
+  scheduler.attach(state);
   scheduler.reset(3);
-  const std::vector<sim::AgentId> enabled = {5, 1, 9};
-  EXPECT_EQ(scheduler.pick(enabled), 9u);
-  EXPECT_FALSE(scheduler.diverged());
-  EXPECT_EQ(scheduler.pick(enabled), 1u);  // exhausted -> fallback 0
-  EXPECT_TRUE(scheduler.diverged());
-  EXPECT_EQ(scheduler.divergence(), "trace exhausted at pick 1");
+  EXPECT_EQ(scheduler.pick(state.enabled()), 1u);  // sorted {0,1,2}[7 % 3]
 }
 
-TEST(ReplayScheduler, StrictModeReportsOutOfRangeChoice) {
-  ReplayScheduler scheduler({1, 7, 5}, ReplayMode::Strict);
-  scheduler.reset(2);
-  EXPECT_EQ(scheduler.pick({4, 2}), 4u);  // in range: sorted {2,4}[1]
-  EXPECT_FALSE(scheduler.diverged());
-  EXPECT_EQ(scheduler.pick({4, 2}), 4u);  // 7 wraps to 1, and is reported
-  EXPECT_TRUE(scheduler.diverged());
-  EXPECT_EQ(scheduler.divergence(),
-            "choice 7 out of range at pick 1 (enabled 2)");
-  // Only the FIRST divergence is kept (5 out of range too); the run goes on.
-  EXPECT_EQ(scheduler.pick({4, 2}), 4u);
-  EXPECT_EQ(scheduler.divergence(),
-            "choice 7 out of range at pick 1 (enabled 2)");
-  // reset() restores a clean slate, per the pooled-reuse contract.
-  scheduler.reset(2);
-  EXPECT_FALSE(scheduler.diverged());
+TEST(ReplayScheduler, PicksTheSortedRankWhateverTheEnabledOrder) {
+  // Halting agent 0 moves agent 2 into its slot of enabled() ({2, 1}); the
+  // choice still names the sorted rank, so choice 0 is agent 1.
+  const sim::Instance instance(
+      12, {5, 1, 9}, [](sim::AgentId id) -> std::unique_ptr<sim::AgentProgram> {
+        return std::make_unique<test::SitterAgent>(id == 0 ? 0 : 1000);
+      });
+  sim::ExecutionState state;
+  state.reset(instance);
+  ASSERT_TRUE(state.step_agent(0));
+  ASSERT_EQ(state.enabled(), (std::vector<sim::AgentId>{2, 1}));
+  ReplayScheduler scheduler({0, 1});
+  scheduler.attach(state);
+  scheduler.reset(3);
+  EXPECT_EQ(scheduler.pick(state.enabled()), 1u);
+  EXPECT_EQ(scheduler.pick(state.enabled()), 2u);
+}
+
+TEST(ReplayScheduler, RefusesAnEnabledSetOfAnotherState) {
+  // The sorted view is read off the attached state, so a pick on any other
+  // list would silently answer for the wrong set.
+  const sim::Instance instance = sitters();
+  sim::ExecutionState state;
+  state.reset(instance);
+  ReplayScheduler replay({0});
+  EXPECT_THROW((void)replay.pick(state.enabled()), std::logic_error);
+  replay.attach(state);
+  const std::vector<sim::AgentId> copy = state.enabled();
+  EXPECT_THROW((void)replay.pick(copy), std::logic_error);
+
+  RecordingScheduler record(
+      sim::make_scheduler(sim::SchedulerKind::RoundRobin, 1, 3));
+  EXPECT_THROW((void)record.pick(state.enabled()), std::logic_error);
 }
 
 TEST(TraceFormat, RejectsMalformedInput) {

@@ -10,10 +10,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "sim/checker.h"
 #include "sim/scheduler.h"
 #include "support/test_agents.h"
+#include "util/rng.h"
 
 namespace udring::sim {
 namespace {
@@ -330,6 +333,53 @@ TEST(Snapshot, ReflectsConfiguration) {
   EXPECT_EQ(snap.agents[0].status, AgentStatus::Halted);
   EXPECT_EQ(snap.agents[1].node, 2u);
   for (const auto& queue : snap.queues) EXPECT_TRUE(queue.empty());
+}
+
+// ---- sorted rank / select over the enabled set ------------------------------
+
+/// The reference the bitset facility replaces: copy, sort, lower_bound.
+void expect_rank_select_match_sorted_copy(const Simulator& sim) {
+  std::vector<AgentId> sorted = sim.enabled();
+  std::sort(sorted.begin(), sorted.end());
+  for (AgentId id = 0; id < sim.agent_count(); ++id) {
+    const auto reference = static_cast<std::size_t>(
+        std::lower_bound(sorted.begin(), sorted.end(), id) - sorted.begin());
+    ASSERT_EQ(sim.enabled_rank(id), reference)
+        << "k=" << sim.agent_count() << " id=" << id;
+  }
+  for (std::size_t r = 0; r < sorted.size(); ++r) {
+    ASSERT_EQ(sim.enabled_select(r), sorted[r])
+        << "k=" << sim.agent_count() << " rank=" << r;
+  }
+  EXPECT_THROW((void)sim.enabled_select(sorted.size()), std::out_of_range);
+}
+
+TEST(EnabledRank, RankAndSelectMatchSortedCopyOnRandomEnabledSets) {
+  // Agent i is homed at node i of a k-ring and walks 0-2 steps: a walker
+  // queues behind its not-yet-started neighbour (leaves the set) and
+  // rejoins when that neighbour departs, halting agents leave for good, and
+  // enabled() is reordered by every removal. k runs past 64 and 128 so the
+  // multi-word bitset paths are covered.
+  Rng rng(64);
+  for (std::size_t k = 1; k <= 200; ++k) {
+    std::vector<NodeId> homes(k);
+    for (std::size_t i = 0; i < k; ++i) homes[i] = i;
+    std::vector<std::size_t> steps(k);
+    for (std::size_t& s : steps) s = static_cast<std::size_t>(rng.below(3));
+    Simulator sim(k, homes, [&steps](AgentId id) {
+      return std::make_unique<WalkerAgent>(steps[id]);
+    });
+    const std::size_t check_every = std::max<std::size_t>(1, k / 8);
+    ASSERT_NO_FATAL_FAILURE(expect_rank_select_match_sorted_copy(sim));
+    for (std::size_t action = 1; !sim.quiescent(); ++action) {
+      const std::vector<AgentId>& enabled = sim.enabled();
+      ASSERT_TRUE(sim.step_agent(enabled[rng.below(enabled.size())]));
+      if (action % check_every == 0) {
+        ASSERT_NO_FATAL_FAILURE(expect_rank_select_match_sorted_copy(sim));
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_rank_select_match_sorted_copy(sim));
+  }
 }
 
 }  // namespace

@@ -108,9 +108,6 @@ int main(int argc, char** argv) {
         cli.get_flag("no-sleep", "disable sleep-set independence pruning");
     const bool no_dpor = cli.get_flag(
         "no-dpor", "disable dynamic partial-order reduction (backtrack sets)");
-    const bool no_symmetry = cli.get_flag(
-        "no-symmetry",
-        "disable the anonymous-agent symmetry quotient on dedup keys");
     const bool shared_visited = cli.get_flag(
         "shared-visited",
         "share one lock-free visited set across all shards (closure walk; "
@@ -145,10 +142,10 @@ int main(int argc, char** argv) {
     if (cli.wants_help()) {
       cli.print_help(
           "udring exhaustive model checker: walks every schedule of a small "
-          "instance (DFS + sleep sets + DPOR backtrack sets + symmetry-"
-          "quotiented state dedup over the replay choice tree, optionally a "
-          "lock-free shared visited set across shards) and proves the goal, "
-          "or emits a replayable counterexample");
+          "instance (DFS + sleep sets + DPOR backtrack sets + visited-state "
+          "dedup over the replay choice tree, optionally a lock-free shared "
+          "visited set across shards) and proves the goal, or emits a "
+          "replayable counterexample");
       return 0;
     }
 
@@ -173,7 +170,6 @@ int main(int argc, char** argv) {
     options.dedup_states = !no_dedup;
     options.sleep_sets = !no_sleep;
     options.dpor = !no_dpor;
-    options.symmetry = !no_symmetry;
     options.shared_visited = shared_visited;
     options.shared_visited_capacity = shared_capacity;
     options.budget_actions = budget;
