@@ -2,8 +2,12 @@
 // acceptance grid (n ∈ {16..64}, k ∈ {2..8}, 16 seeds, 2 schedulers —
 // 1568 scenarios) serially and sharded, verifies the worker-count
 // determinism contract (identical digests), and reports throughput and
-// parallel speedup. Set UDRING_CAMPAIGN_SMOKE=1 for the tiny CI grid.
+// parallel speedup. A per-cell table then shows the cost of one action
+// under each scheduler at (n, k) = (256, 64), the largest-k cell of the
+// benchmark sweep, where the scheduler draw is the biggest. Set
+// UDRING_CAMPAIGN_SMOKE=1 for the tiny CI grid.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 
@@ -14,11 +18,13 @@ namespace {
 using namespace udring;
 using namespace udring::bench;
 
+bool smoke() { return std::getenv("UDRING_CAMPAIGN_SMOKE") != nullptr; }
+
 exp::CampaignGrid engine_grid() {
   exp::CampaignGrid grid;
   grid.algorithms = {core::Algorithm::KnownKFull};
   grid.schedulers = {sim::SchedulerKind::RoundRobin, sim::SchedulerKind::Random};
-  if (std::getenv("UDRING_CAMPAIGN_SMOKE") != nullptr) {
+  if (smoke()) {
     grid.node_counts = {16, 24};
     grid.agent_counts = {2, 4};
     grid.seeds = 2;  // 16 scenarios: enough to exercise every engine path
@@ -29,6 +35,33 @@ exp::CampaignGrid engine_grid() {
   }
   return grid;
 }
+
+/// One (256, 64) cell of the benchmark sweep's grid.
+exp::CampaignGrid cell_grid(core::Algorithm algorithm,
+                            sim::SchedulerKind scheduler) {
+  exp::CampaignGrid grid;
+  grid.algorithms = {algorithm};
+  grid.schedulers = {scheduler};
+  grid.instances = {{256, 64}};
+  grid.seeds = smoke() ? 2 : 24;
+  return grid;
+}
+
+/// Serial wall time of `grid` divided by the actions it executed.
+double ns_per_action(const exp::CampaignGrid& grid) {
+  const auto start = std::chrono::steady_clock::now();
+  const exp::CampaignResult result =
+      exp::run_campaign_streaming(grid, {.workers = 1});
+  const auto stop = std::chrono::steady_clock::now();
+  std::uint64_t actions = 0;
+  for (const auto& [key, stats] : result.cells) actions += stats.actions_sum;
+  const double ns = std::chrono::duration<double, std::nano>(stop - start).count();
+  return actions == 0 ? 0.0 : ns / static_cast<double>(actions);
+}
+
+constexpr sim::SchedulerKind kCellSchedulers[] = {
+    sim::SchedulerKind::RoundRobin, sim::SchedulerKind::Random,
+    sim::SchedulerKind::Burst};
 
 double run_timed(const exp::CampaignGrid& grid, std::size_t workers,
                  exp::CampaignResult& out) {
@@ -74,33 +107,23 @@ void print_report() {
             << " the materialized serial run ("
             << streamed.cells.size() << " cells, no per-scenario storage).\n";
 
-  // Lane-batched A/B: the SoA lane engine (sim::BatchArena) must reproduce
-  // the scalar digest at every lane setting — 1 is the historical scalar
-  // path, auto is what production campaigns run. A mismatch here is an
-  // engine bug, so the report exits nonzero (this is the CI batch smoke).
-  print_section(std::cout, "Lane batching (batch_lanes A/B, workers = 1)");
-  bool lanes_ok = true;
-  Table lane_table({"lanes", "wall ms", "scenarios/s", "digest match"});
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
-    exp::CampaignOptions options;
-    options.workers = 1;
-    options.batch_lanes = lanes;
-    const auto start = std::chrono::steady_clock::now();
-    const exp::CampaignResult result = exp::run_campaign(grid, options);
-    const auto stop = std::chrono::steady_clock::now();
-    const double ms = std::chrono::duration<double, std::milli>(stop - start).count();
-    const bool match = result.digest() == serial.digest();
-    lanes_ok = lanes_ok && match;
-    lane_table.add_row({lanes == 0 ? "auto" : Table::num(lanes),
-                        Table::num(ms, 0),
-                        Table::num(1000.0 * static_cast<double>(scenario_count) / ms, 0),
-                        match ? "yes" : "NO"});
+  // Per-action cost per cell: set-up, draws, actions and the goal check,
+  // divided by the actions. Best of three runs, 1 worker.
+  print_section(std::cout, "Per-cell cost at (n, k) = (256, 64), workers = 1");
+  Table cell_table({"algorithm", "scheduler", "ns/action"});
+  for (const core::Algorithm algorithm :
+       {core::Algorithm::KnownKFull, core::Algorithm::KnownKLogMem,
+        core::Algorithm::UnknownRelaxed}) {
+    for (const sim::SchedulerKind scheduler : kCellSchedulers) {
+      const exp::CampaignGrid cell = cell_grid(algorithm, scheduler);
+      double best = ns_per_action(cell);
+      for (int rep = 1; rep < 3; ++rep) best = std::min(best, ns_per_action(cell));
+      cell_table.add_row({std::string(core::to_string(algorithm)),
+                          std::string(sim::to_string(scheduler)),
+                          Table::num(best, 1)});
+    }
   }
-  std::cout << lane_table;
-  if (!lanes_ok) {
-    std::cout << "ERROR: lane-batched digest diverged from the scalar engine.\n";
-    std::exit(2);
-  }
+  std::cout << cell_table;
 
   std::cout << "\nfailures: " << serial.failures << " / " << scenario_count
             << "   digest: " << std::hex << serial.digest() << std::dec << '\n';
@@ -139,31 +162,22 @@ void register_timings() {
         })
         ->Unit(benchmark::kMillisecond);
   }
-  // Lane-scaling rows: the same acceptance cell swept over batch_lanes at
-  // one worker, so the artifact tracks the lane engine's own trajectory
-  // (lanes=1 is the scalar path; the workers= rows above run auto lanes).
-  for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
+  // Per-cell rows: the (256, 64) known-k-full cell under each scheduler,
+  // with the per-action cost as a counter.
+  for (const sim::SchedulerKind scheduler : kCellSchedulers) {
     const std::string name =
-        "campaign/n=32..48/k=4,8/lanes=" + std::to_string(lanes);
+        "cell/known-k-full/n=256/k=64/" + std::string(sim::to_string(scheduler));
     benchmark::RegisterBenchmark(
         name.c_str(),
-        [lanes](benchmark::State& state) {
-          exp::CampaignGrid grid;
-          grid.algorithms = {core::Algorithm::KnownKFull};
-          grid.schedulers = {sim::SchedulerKind::RoundRobin,
-                             sim::SchedulerKind::Random};
-          grid.node_counts = {32, 48};
-          grid.agent_counts = {4, 8};
-          grid.seeds = 4;
-          exp::CampaignOptions options;
-          options.workers = 1;
-          options.batch_lanes = lanes;
+        [scheduler](benchmark::State& state) {
+          const exp::CampaignGrid grid =
+              cell_grid(core::Algorithm::KnownKFull, scheduler);
+          double ns = 0;
           for (auto _ : state) {
-            const exp::CampaignResult result = exp::run_campaign(grid, options);
-            benchmark::DoNotOptimize(result.failures);
-            if (!result.all_ok()) state.SkipWithError("campaign failed");
+            ns = ns_per_action(grid);
+            benchmark::DoNotOptimize(ns);
           }
-          state.counters["lanes"] = static_cast<double>(lanes);
+          state.counters["ns_per_action"] = ns;
         })
         ->Unit(benchmark::kMillisecond);
   }

@@ -23,7 +23,7 @@ using namespace udring::bench;
 // One exact lockstep round via the public API (agents enabled at the round
 // boundary act once, in id order).
 bool lockstep_round(sim::Simulator& simulator) {
-  std::vector<sim::AgentId> enabled = simulator.enabled();
+  std::vector<sim::AgentId> enabled = simulator.enabled().list();
   if (enabled.empty()) return false;
   std::sort(enabled.begin(), enabled.end());
   for (const sim::AgentId id : enabled) (void)simulator.step_agent(id);

@@ -113,21 +113,6 @@ struct RunReport {
 [[nodiscard]] sim::CheckResult evaluate_goal(Algorithm algorithm,
                                              const sim::Simulator& sim);
 
-/// Cached goal oracle keyed by (algorithm, problem): rebuilt only when the
-/// pair changes, so a campaign sweeping one cell re-judges thousands of runs
-/// with zero oracle allocations. The cache primitive behind RunContext and
-/// LanePool.
-class OracleCache {
- public:
-  [[nodiscard]] const sim::GoalOracle& get(Algorithm algorithm,
-                                           const ProblemSpec& problem);
-
- private:
-  std::unique_ptr<sim::GoalOracle> oracle_;
-  Algorithm algorithm_ = Algorithm::KnownKFull;
-  ProblemSpec problem_;
-};
-
 /// A reusable per-worker run arena: one pooled ExecutionState plus a cached
 /// scheduler per SchedulerKind (reseed()ed for every run). Construct once,
 /// call run() per spec; everything n-sized is recycled between runs.
@@ -167,67 +152,18 @@ class RunContext {
   std::optional<sim::Instance> instance_;
   std::array<std::unique_ptr<sim::Scheduler>, sim::kSchedulerKindCount>
       schedulers_;
-  OracleCache oracles_;
-};
-
-/// Per-worker pooled scaffolding for the lane-batched campaign engine
-/// (sim::BatchArena): lane ℓ owns an Instance slot — emplaced per scenario
-/// and kept alive while the lane's ExecutionState references it — and a
-/// per-SchedulerKind scheduler cache with RunContext::scheduler's exact
-/// reseed contract, so each lane's scheduler sequence is byte-identical to
-/// the one a scalar per-worker RunContext would have produced for the same
-/// scenario. The goal-oracle cache is shared across lanes (oracles are
-/// stateless judges keyed by (algorithm, problem)).
-///
-/// Not thread-safe — one LanePool (and one BatchArena) per worker thread.
-class LanePool {
- public:
-  explicit LanePool(std::size_t lanes);
-  LanePool(const LanePool&) = delete;
-  LanePool& operator=(const LanePool&) = delete;
-
-  [[nodiscard]] std::size_t lanes() const noexcept { return lanes_.size(); }
-
-  /// Builds the Instance for (algorithm, spec) into lane storage. The
-  /// returned reference stays valid until this lane's next emplace.
-  const sim::Instance& emplace_instance(std::size_t lane, Algorithm algorithm,
-                                        const RunSpec& spec);
-
-  /// The lane's cached scheduler for `kind`, reseeded for this run.
-  [[nodiscard]] sim::Scheduler& scheduler(std::size_t lane,
-                                          sim::SchedulerKind kind,
-                                          std::uint64_t seed,
-                                          std::size_t agent_count);
-
-  [[nodiscard]] const sim::GoalOracle& oracle(Algorithm algorithm,
-                                              const ProblemSpec& problem) {
-    return oracles_.get(algorithm, problem);
-  }
-
- private:
-  struct Lane {
-    std::optional<sim::Instance> instance;
-    std::array<std::unique_ptr<sim::Scheduler>, sim::kSchedulerKindCount>
-        schedulers;
-  };
-  std::vector<Lane> lanes_;
-  OracleCache oracles_;
+  /// The cached goal oracle and the (algorithm, problem) pair it judges.
+  std::unique_ptr<sim::GoalOracle> oracle_;
+  Algorithm oracle_algorithm_ = Algorithm::KnownKFull;
+  ProblemSpec oracle_problem_;
 };
 
 /// Runs every spec through `algorithm` across a worker pool (0 = hardware
 /// concurrency). Reports are index-aligned with `specs`; a spec that throws
 /// yields a report with success = false and the exception text in `failure`.
-///
-/// `lanes` selects the engine, exactly like CampaignOptions::batch_lanes
-/// minus the auto policy: 1 (default) = one RunContext per worker, the
-/// scalar pooled driver; > 1 = each worker interleaves that many in-flight
-/// specs through a sim::BatchArena + LanePool, retiring and refilling lanes
-/// independently. Reports are byte-identical either way (the lane engine
-/// runs the same per-spec computation through the same finish_report
-/// epilogue; tests/test_pooling.cpp pins the equality).
+/// One RunContext per worker.
 [[nodiscard]] std::vector<RunReport> run_many(Algorithm algorithm,
                                               const std::vector<RunSpec>& specs,
-                                              std::size_t workers = 0,
-                                              std::size_t lanes = 1);
+                                              std::size_t workers = 0);
 
 }  // namespace udring::core

@@ -11,7 +11,6 @@
 #include "config/generators.h"
 #include "core/distance_sequence.h"
 #include "exp/shard.h"
-#include "sim/batch_arena.h"
 #include "util/bits.h"
 
 namespace udring::exp {
@@ -104,8 +103,8 @@ namespace {
   return key;
 }
 
-/// Builds the RunSpec scenario `s` executes — the substream derivation both
-/// engines (and scenario_homes) share: homes drawn from the instance-keyed
+/// Builds the RunSpec scenario `s` executes — the substream derivation
+/// run_one and scenario_homes share: homes drawn from the instance-keyed
 /// substream, then one extra draw for the scheduler seed.
 [[nodiscard]] core::RunSpec make_scenario_spec(const Scenario& scenario,
                                                const CampaignGrid& grid) {
@@ -231,42 +230,14 @@ void sample_failure(CellStats& stats, SampleBuffer& global, const Scenario& s,
   }
 }
 
-// ---- lane-batched execution (sim::BatchArena) -------------------------------
+// ---- scenario execution -----------------------------------------------------
 
-/// Auto heuristic bounds. Lanes pay off when a lane's whole arena (state,
-/// queues, coroutine frames) is small enough that B of them stay cheap and
-/// per-scenario setup/retirement is a visible fraction of the run — AND the
-/// scenario stream is long enough to amortize warming B arenas instead of
-/// one (B−1 extra n-sized buffer growths per worker, ~tens of µs, which a
-/// 32-scenario smoke grid would pay as a net loss). Big rings and short
-/// streams keep the scalar engine.
-constexpr std::size_t kAutoLanes = 4;
-constexpr std::size_t kAutoLaneMaxNodes = 4096;
-constexpr std::size_t kAutoLaneMinScenariosPerWorker = 256;
-
-/// The lane count the engine actually uses (see CampaignOptions::batch_lanes:
-/// 0 = auto, 1 = scalar, >1 = explicit). A pure performance policy: results
-/// are byte-identical whichever engine runs.
-[[nodiscard]] std::size_t resolve_batch_lanes(const CampaignGrid& grid,
-                                              const CampaignOptions& options,
-                                              std::size_t scenario_count,
-                                              std::size_t workers) {
-  if (options.batch_lanes != 0) return options.batch_lanes;
-  if (scenario_count < kAutoLaneMinScenariosPerWorker * workers) return 1;
-  std::size_t max_n = 0;
-  for (const auto& [n, k] : grid.instances) max_n = std::max(max_n, n);
-  if (grid.instances.empty()) {
-    for (const std::size_t n : grid.node_counts) max_n = std::max(max_n, n);
-  }
-  return max_n <= kAutoLaneMaxNodes ? kAutoLanes : 1;
-}
-
-/// Lean epilogue of the lane-batched engine: exactly the fields the
-/// aggregation folds consume — core::finish_report's success/failure
-/// derivation (oracle on quiescence, the action-limit text otherwise), the
-/// three complexity measures, the action count, and the final positions only
-/// when requested. None of the report-only extras (moves_by_phase, labels,
-/// string copies) the scalar RunReport allocates and the campaign discards.
+/// Lean scenario epilogue: exactly the fields the aggregation folds
+/// consume — core::finish_report's success/failure derivation (oracle on
+/// quiescence, the action-limit text otherwise), the three complexity
+/// measures, the action count, and the final positions only when
+/// requested. None of the report-only extras (moves_by_phase, labels,
+/// string copies) the RunReport allocates and the campaign discards.
 [[nodiscard]] ScenarioResult finish_scenario(const sim::GoalOracle& oracle,
                                              const sim::ExecutionState& state,
                                              const sim::RunResult& result,
@@ -298,13 +269,12 @@ constexpr std::size_t kAutoLaneMinScenariosPerWorker = 256;
   return out;
 }
 
-/// One scenario on the scalar (lanes == 1) engine, through the same lean
-/// epilogue the lane-batched path uses — build the spec and instance, reset
-/// the worker's pooled state, run, judge. `instance_slot` is worker-owned
-/// storage keeping the Instance alive while ctx.state() references it
-/// (RunContext::run would do this internally, but would also assemble a full
-/// RunReport — moves_by_phase, sorted positions, label mapping — that the
-/// campaign folds immediately discard).
+/// One scenario through the lean epilogue — build the spec and instance,
+/// reset the worker's pooled state, run, judge. `instance_slot` is
+/// worker-owned storage keeping the Instance alive while ctx.state()
+/// references it (RunContext::run would do this internally, but would also
+/// assemble a full RunReport — moves_by_phase, sorted positions, label
+/// mapping — that the campaign folds immediately discard).
 ScenarioResult run_one(const Scenario& scenario, const CampaignGrid& grid,
                        bool record_final_positions, core::RunContext& ctx,
                        std::optional<sim::Instance>& instance_slot) {
@@ -323,83 +293,33 @@ ScenarioResult run_one(const Scenario& scenario, const CampaignGrid& grid,
   }
 }
 
-/// The lane-batched scenario loop shared by both aggregation paths: each
-/// worker owns a LanePool + BatchArena of `lanes` lanes and pumps scenario
-/// indices from the shared work-stealing cursor, so up to workers × lanes
-/// scenarios are in flight; finished lanes retire individually and refill
-/// from the stream. emit(worker, scenario, result) is called once per
-/// claimed scenario, on the claiming worker's thread, in lane-retirement
-/// order — safe because every fold the callers apply is commutative and
-/// index-keyed (the same argument that makes work stealing itself sound).
-///
-/// Exception parity with the scalar path, stage by stage: a scenario whose
-/// spec/instance build throws (feed), whose run throws (an algorithm bug
-/// surfacing through Behavior::resume), or whose oracle throws (retire) is
-/// emitted as a failure with "exception: " + what — exactly run_one's catch.
-/// Returns the worker count used.
-std::size_t run_scenarios_batched(
+/// The scenario loop shared by both aggregation paths: scenarios
+/// [begin, end) of the expansion over `cells`, each worker with its own
+/// pooled RunContext, claiming indices from the shared work-stealing
+/// cursor. emit(worker, scenario, result) is called once per scenario, on
+/// the claiming worker's thread, in claim order — safe because every fold
+/// the callers apply is commutative and index-keyed. Scenarios keep their
+/// GLOBAL expansion index everywhere (substream derivation, scenario hash,
+/// failure samples), so a range run is literally a subset of the
+/// whole-expansion run. Returns the worker count used.
+std::size_t run_scenarios(
     const CampaignGrid& grid, const std::vector<CellKey>& cells,
-    std::size_t begin, std::size_t end, std::size_t workers, std::size_t lanes,
+    std::size_t begin, std::size_t end, std::size_t workers,
     bool record_final_positions,
     const std::function<void(std::size_t worker, const Scenario& s,
                              ScenarioResult&& r)>& emit) {
-  // The claim cursor hands out local offsets in [0, end - begin); scenarios
-  // keep their GLOBAL expansion index (begin + offset) everywhere — in the
-  // substream derivation, the scenario hash and the failure samples — so a
-  // range run is literally a subset of the whole-expansion run.
-  const std::size_t count = end - begin;
-  return parallel_pump_workers(
-      count, workers,
-      [&](std::size_t worker, const std::function<std::size_t()>& claim) {
-        core::LanePool pool(lanes);
-        sim::BatchArena arena(lanes);
-        std::vector<Scenario> in_flight(lanes);
-
-        const auto feed = [&](std::size_t lane) -> bool {
-          for (;;) {
-            const std::size_t local = claim();
-            if (local >= count) return false;
-            const std::size_t i = begin + local;
-            const Scenario s = scenario_at(cells, grid.seeds, i);
-            try {
-              const core::RunSpec spec = make_scenario_spec(s, grid);
-              sim::Scheduler& scheduler = pool.scheduler(
-                  lane, spec.scheduler, spec.seed, spec.homes.size());
-              const sim::Instance& instance =
-                  pool.emplace_instance(lane, s.algorithm, spec);
-              arena.load(lane, instance, scheduler, spec.scheduler, i);
-              in_flight[lane] = s;
-              return true;
-            } catch (const std::exception& error) {
-              emit(worker, s, exception_result(error));
-              // The lane is still empty — claim the next scenario for it.
-            }
-          }
-        };
-        const auto retire = [&](std::size_t lane, std::uint64_t /*ticket*/,
-                                const sim::RunResult& result) {
-          const Scenario& s = in_flight[lane];
-          ScenarioResult out;
-          try {
-            out = finish_scenario(pool.oracle(s.algorithm, s.problem),
-                                  arena.state(lane), result,
-                                  record_final_positions);
-          } catch (const std::exception& error) {
-            out = exception_result(error);
-          }
-          emit(worker, s, std::move(out));
-        };
-        const auto on_error = [&](std::size_t lane, std::uint64_t /*ticket*/,
-                                  std::exception_ptr error) {
-          try {
-            std::rethrow_exception(std::move(error));
-          } catch (const std::exception& e) {
-            emit(worker, in_flight[lane], exception_result(e));
-          }
-          // A non-std::exception rethrow escapes to parallel_pump_workers,
-          // which is where the scalar path sends it too.
-        };
-        arena.run(feed, retire, on_error);
+  std::vector<std::unique_ptr<core::RunContext>> contexts;
+  std::vector<std::optional<sim::Instance>> instances(workers);
+  contexts.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    contexts.push_back(std::make_unique<core::RunContext>());
+  }
+  return parallel_for_workers(
+      end - begin, workers, [&](std::size_t worker, std::size_t local) {
+        const Scenario s = scenario_at(cells, grid.seeds, begin + local);
+        emit(worker, s,
+             run_one(s, grid, record_final_positions, *contexts[worker],
+                     instances[worker]));
       });
 }
 
@@ -692,35 +612,14 @@ CampaignResult run_campaign(const CampaignGrid& grid,
   // 1000-instance campaign performs O(workers), not O(instances),
   // steady-state heap allocations. Scenario *outputs* still go to
   // index-owned slots — pooling changes where the arena lives, not the
-  // determinism story. With batch_lanes ≠ 1 the pooled arena is a
-  // BatchArena of lanes instead of one RunContext — same outputs, same
-  // slots, B scenarios in flight per worker.
-  const std::size_t workers =
-      resolve_workers(result.scenarios.size(), options.workers);
-  const std::size_t lanes =
-      resolve_batch_lanes(grid, options, result.scenarios.size(), workers);
-  if (lanes > 1) {
-    result.workers_used = run_scenarios_batched(
-        grid, expand_cells(grid), 0, result.scenarios.size(), workers, lanes,
-        options.record_final_positions,
-        [&](std::size_t /*worker*/, const Scenario& s, ScenarioResult&& r) {
-          result.results[s.index] = std::move(r);
-        });
-  } else {
-    std::vector<std::unique_ptr<core::RunContext>> contexts;
-    std::vector<std::optional<sim::Instance>> instances(workers);
-    contexts.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      contexts.push_back(std::make_unique<core::RunContext>());
-    }
-    result.workers_used = parallel_for_workers(
-        result.scenarios.size(), workers,
-        [&](std::size_t worker, std::size_t i) {
-          result.results[i] = run_one(result.scenarios[i], grid,
-                                      options.record_final_positions,
-                                      *contexts[worker], instances[worker]);
-        });
-  }
+  // determinism story.
+  result.workers_used = run_scenarios(
+      grid, expand_cells(grid), 0, result.scenarios.size(),
+      resolve_workers(result.scenarios.size(), options.workers),
+      options.record_final_positions,
+      [&](std::size_t /*worker*/, const Scenario& s, ScenarioResult&& r) {
+        result.results[s.index] = std::move(r);
+      });
 
   // Aggregation in scenario-index order. Every fold below is
   // order-independent anyway (integer sums, commutative hash-sum,
@@ -822,11 +721,10 @@ std::size_t run_campaign_range(const CampaignGrid& grid,
   // survives the fold.
   std::vector<CampaignAccumulator> accumulators(workers);
 
-  // The worker-local fold both engines below share: commutative and
-  // index-keyed, so per-lane retirement order (batched) and index-claim
-  // order (scalar) land on the same accumulator bytes. Scenario indices are
-  // GLOBAL expansion indices throughout, which is what lets a range run
-  // merge byte-identically into the whole.
+  // The worker-local fold: commutative and index-keyed, so any claim order
+  // lands on the same accumulator bytes. Scenario indices are GLOBAL
+  // expansion indices throughout, which is what lets a range run merge
+  // byte-identically into the whole.
   const auto fold = [&](std::size_t worker, const Scenario& s,
                         const ScenarioResult& r) {
     CampaignAccumulator& acc = accumulators[worker];
@@ -839,30 +737,11 @@ std::size_t run_campaign_range(const CampaignGrid& grid,
     }
   };
 
-  const std::size_t lanes = resolve_batch_lanes(grid, options, count, workers);
-  std::size_t used = 0;
-  if (lanes > 1) {
-    used = run_scenarios_batched(
-        grid, cells, begin, end, workers, lanes,
-        /*record_final_positions=*/false,
-        [&](std::size_t worker, const Scenario& s, ScenarioResult&& r) {
-          fold(worker, s, r);
-        });
-  } else {
-    std::vector<std::unique_ptr<core::RunContext>> contexts;
-    std::vector<std::optional<sim::Instance>> instances(workers);
-    contexts.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      contexts.push_back(std::make_unique<core::RunContext>());
-    }
-    used = parallel_for_workers(
-        count, workers, [&](std::size_t worker, std::size_t local) {
-          const Scenario s = scenario_at(cells, grid.seeds, begin + local);
-          fold(worker, s,
-               run_one(s, grid, /*record_final_positions=*/false,
-                       *contexts[worker], instances[worker]));
-        });
-  }
+  const std::size_t used = run_scenarios(
+      grid, cells, begin, end, workers, /*record_final_positions=*/false,
+      [&](std::size_t worker, const Scenario& s, ScenarioResult&& r) {
+        fold(worker, s, r);
+      });
 
   // Merge. Work stealing hands workers arbitrary scenario subsets, so every
   // fold inside merge_accumulators is commutative-exact: integer sums,

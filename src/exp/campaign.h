@@ -263,7 +263,7 @@ struct CellStats {
   /// Mergeable per-cell quantile sketches over each scenario's total moves
   /// and makespan. Element-wise commutative merges (util/quantile_sketch.h),
   /// so — like the integer sums — they are byte-identical at any worker,
-  /// lane, shard or checkpoint partition of the scenario set.
+  /// shard or checkpoint partition of the scenario set.
   QuantileSketch moves_sketch;
   QuantileSketch makespan_sketch;
 
@@ -295,20 +295,6 @@ struct CampaignOptions {
   /// Deliberately independent of the worker count so the digest contract
   /// holds even when the budget binds.
   std::size_t memory_budget_bytes = 0;
-  /// Lane-batched execution (sim::BatchArena): how many in-flight scenarios
-  /// each worker interleaves, stepping them in bounded round-robin chunks
-  /// with per-lane retirement and refill. 1 = the scalar pooled path (one
-  /// RunContext per worker — the historical engine, byte for byte).
-  /// 0 (default) = auto: lanes engage for small-instance grids (max n ≤
-  /// 4096) whose stream is long enough to amortize warming B arenas per
-  /// worker (≥ 256 scenarios/worker); big rings and short smoke grids keep
-  /// the scalar engine.
-  /// Results are byte-identical at ANY value: every lane derives its
-  /// randomness from the same per-scenario substream, drives its own
-  /// per-lane reseeded scheduler, and the aggregation folds are commutative
-  /// (tests/test_batch.cpp pins digest equality across lane × worker
-  /// combinations).
-  std::size_t batch_lanes = 0;
   /// Streaming path only: checkpoint/resume. When non-empty, the run folds
   /// scenarios in watermark blocks and atomically replaces this file (a
   /// versioned exp::ShardFile, write-temp + rename) after each block, so a
@@ -444,7 +430,7 @@ void merge_accumulators(CampaignAccumulator& into, CampaignAccumulator&& from,
 /// (exactly the set run_campaign_streaming would run — a binding
 /// memory_budget_bytes truncates the cell list identically here) and folds
 /// them into `into` through the same per-worker-accumulator machinery,
-/// honoring workers/batch_lanes. This is the primitive the checkpoint loop
+/// honoring workers. This is the primitive the checkpoint loop
 /// and the multi-process shard driver (exp::run_campaign_shard) are built
 /// on: run_campaign_streaming(grid, o) == fold of run_campaign_range over
 /// any partition of [0, admitted scenario count). Throws

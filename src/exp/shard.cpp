@@ -229,8 +229,8 @@ std::uint64_t grid_fingerprint(const CampaignGrid& grid,
   // Everything a merge must agree on, nothing a merge may ignore: the
   // admitted expansion already folds the whole grid (axes, feasibility
   // skips, a binding memory budget), and the scenarios themselves are a pure
-  // function of (cell, repetition, base_seed, sim options). Workers, lanes
-  // and checkpoint cadence are deliberately absent — they choose how the
+  // function of (cell, repetition, base_seed, sim options). Workers and
+  // checkpoint cadence are deliberately absent — they choose how the
   // sweep runs, never what it computes.
   const AdmittedExpansion admitted = admit_cells(grid, options);
   std::uint64_t state = kFingerprintSalt;

@@ -79,7 +79,7 @@ struct ShardFile {
 /// Fingerprint of everything that must match for two partial folds to be
 /// mergeable: the admitted cell expansion (every CellKey, in order), seeds,
 /// base_seed, the sim options, the sample caps and the memory budget.
-/// Deliberately excludes workers / batch_lanes / checkpoint options — they
+/// Deliberately excludes workers / checkpoint options — they
 /// change how fast a shard runs, never what it computes.
 [[nodiscard]] std::uint64_t grid_fingerprint(const CampaignGrid& grid,
                                              const CampaignOptions& options);

@@ -20,7 +20,7 @@ static_assert(static_cast<int>(ExploreSchedulerKind::Burst) ==
 
 void LinkDelayScheduler::reset(std::size_t /*agent_count*/) {}
 
-sim::AgentId LinkDelayScheduler::pick(const std::vector<sim::AgentId>& enabled) {
+sim::AgentId LinkDelayScheduler::pick(const sim::EnabledSet& enabled) {
   if (sim_ == nullptr) return *std::min_element(enabled.begin(), enabled.end());
 
   // Anything not on a link acts first (lowest id for determinism); agents in
@@ -60,8 +60,7 @@ void BurstPartitionScheduler::reset(std::size_t agent_count) {
   remaining_ = burst_;
 }
 
-sim::AgentId BurstPartitionScheduler::pick(
-    const std::vector<sim::AgentId>& enabled) {
+sim::AgentId BurstPartitionScheduler::pick(const sim::EnabledSet& enabled) {
   for (int attempt = 0; attempt < 2; ++attempt) {
     if (remaining_ == 0) {
       active_side_ = !active_side_;
@@ -89,7 +88,7 @@ sim::AgentId BurstPartitionScheduler::pick(
 
 void FifoStressScheduler::reset(std::size_t /*agent_count*/) {}
 
-sim::AgentId FifoStressScheduler::pick(const std::vector<sim::AgentId>& enabled) {
+sim::AgentId FifoStressScheduler::pick(const sim::EnabledSet& enabled) {
   if (sim_ == nullptr) return *std::min_element(enabled.begin(), enabled.end());
   sim::AgentId best = enabled.front();
   std::size_t best_phase = 0, best_moves = 0;

@@ -52,7 +52,7 @@ class LinkDelayScheduler final : public sim::Scheduler {
  public:
   void attach(const sim::ExecutionState& sim) override { sim_ = &sim; }
   void reset(std::size_t agent_count) override;
-  sim::AgentId pick(const std::vector<sim::AgentId>& enabled) override;
+  sim::AgentId pick(const sim::EnabledSet& enabled) override;
   [[nodiscard]] std::string_view name() const override { return "link-delay"; }
 
  private:
@@ -71,7 +71,7 @@ class BurstPartitionScheduler final : public sim::Scheduler {
   // partition forever — the reseed-audit sweep in tests/test_pooling.cpp
   // caught exactly that.
   void reseed(std::uint64_t seed) override { seed_ = seed; }
-  sim::AgentId pick(const std::vector<sim::AgentId>& enabled) override;
+  sim::AgentId pick(const sim::EnabledSet& enabled) override;
   [[nodiscard]] std::string_view name() const override { return "burst-partition"; }
 
  private:
@@ -86,7 +86,7 @@ class FifoStressScheduler final : public sim::Scheduler {
  public:
   void attach(const sim::ExecutionState& sim) override { sim_ = &sim; }
   void reset(std::size_t agent_count) override;
-  sim::AgentId pick(const std::vector<sim::AgentId>& enabled) override;
+  sim::AgentId pick(const sim::EnabledSet& enabled) override;
   [[nodiscard]] std::string_view name() const override { return "fifo-stress"; }
 
  private:
@@ -110,7 +110,7 @@ class RewiringAdversary final : public sim::Scheduler {
   void attach(const sim::ExecutionState& sim) override { sim_ = &sim; }
   void reset(std::size_t agent_count) override { inner_.reset(agent_count); }
   void reseed(std::uint64_t seed) override { inner_.reseed(seed); }
-  sim::AgentId pick(const std::vector<sim::AgentId>& enabled) override {
+  sim::AgentId pick(const sim::EnabledSet& enabled) override {
     return inner_.pick(enabled);
   }
   [[nodiscard]] std::size_t pick_index(std::size_t bound) override;

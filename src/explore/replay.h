@@ -16,10 +16,8 @@
 // with index 0 (a fixed fair fallback), so every candidate the shrinker
 // tries is a complete, valid schedule.
 //
-// Neither scheduler sorts: both read the sorted view off the attached
-// ExecutionState's enabled bitset (enabled_rank / enabled_select). They
-// must therefore be attached to the state whose enabled() they are handed —
-// run() attaches itself, and pick() throws std::logic_error otherwise.
+// Neither scheduler sorts: both read the sorted view off the bitset of the
+// EnabledSet they are handed (EnabledSet::rank / select).
 
 #pragma once
 
@@ -37,12 +35,9 @@ class RecordingScheduler final : public sim::Scheduler {
  public:
   explicit RecordingScheduler(std::unique_ptr<sim::Scheduler> inner);
 
-  void attach(const sim::ExecutionState& sim) override {
-    sim_ = &sim;
-    inner_->attach(sim);
-  }
+  void attach(const sim::ExecutionState& sim) override { inner_->attach(sim); }
   void reset(std::size_t agent_count) override;
-  sim::AgentId pick(const std::vector<sim::AgentId>& enabled) override;
+  sim::AgentId pick(const sim::EnabledSet& enabled) override;
   /// Auxiliary draws (dynamic-ring rewiring strides, sim/fault.h) interleave
   /// into the same choice stream as agent picks: the simulator consumes them
   /// at deterministic points, so position alone disambiguates the two kinds
@@ -60,7 +55,6 @@ class RecordingScheduler final : public sim::Scheduler {
   std::unique_ptr<sim::Scheduler> inner_;
   std::string name_;
   std::vector<std::uint32_t> choices_;
-  const sim::ExecutionState* sim_ = nullptr;
 };
 
 /// Replays a recorded choice sequence. Every entry is reduced modulo the
@@ -71,9 +65,8 @@ class ReplayScheduler final : public sim::Scheduler {
   explicit ReplayScheduler(std::vector<std::uint32_t> choices)
       : choices_(std::move(choices)) {}
 
-  void attach(const sim::ExecutionState& sim) override { sim_ = &sim; }
   void reset(std::size_t agent_count) override;
-  sim::AgentId pick(const std::vector<sim::AgentId>& enabled) override;
+  sim::AgentId pick(const sim::EnabledSet& enabled) override;
   /// Consumes the next trace entry as an auxiliary index (rewiring stride
   /// draws), mirroring RecordingScheduler::pick_index: entries reduce modulo
   /// `bound`, an exhausted trace pads with 0.
@@ -89,7 +82,6 @@ class ReplayScheduler final : public sim::Scheduler {
  private:
   std::vector<std::uint32_t> choices_;
   std::size_t cursor_ = 0;
-  const sim::ExecutionState* sim_ = nullptr;
 };
 
 }  // namespace udring::explore

@@ -154,7 +154,7 @@ class Explorer {
         }
       }
       const sim::AgentId agent =
-          cur_.enabled_select(static_cast<std::size_t>(b));
+          cur_.enabled().select(static_cast<std::size_t>(b));
       const AgentMask child_sleep =
           inherit_sleep(f.enabled_mask, f.sleep, agent);
       const std::size_t prev_tokens = cur_.total_tokens();
@@ -205,7 +205,7 @@ class Explorer {
       // branch agents (sorted enabled ids) up front.
       agents.clear();
       for (std::size_t r = 0; r < cur_.enabled().size(); ++r) {
-        agents.push_back(cur_.enabled_select(r));
+        agents.push_back(cur_.enabled().select(r));
       }
       const AgentMask enabled_mask = current_enabled_mask();
       AgentMask sleep = node.sleep;
@@ -280,7 +280,7 @@ class Explorer {
   }
   /// cur_'s enabled set as a frame mask (0 when masks are unusable).
   [[nodiscard]] AgentMask current_enabled_mask() const noexcept {
-    return masks_usable() ? cur_.enabled_bits().front() : 0;
+    return masks_usable() ? cur_.enabled().words().front() : 0;
   }
   [[nodiscard]] bool should_stop() const noexcept {
     return stop_flag_ != nullptr && stop_flag_->load(std::memory_order_relaxed);
@@ -486,7 +486,7 @@ class Explorer {
           throw std::logic_error(
               "mc: choice out of range on prefix replay (determinism bug)");
         }
-        cur_.step_chosen(cur_.enabled_select(entry));
+        cur_.step_chosen(cur_.enabled().select(entry));
         ++actions;
       }
       ++stats.replays;

@@ -21,7 +21,7 @@
 // snapshot to restore). The replay drives the engine directly, with no
 // scheduler in between: each prefix entry is the rank of the agent to step
 // in the sorted enabled set, read off the state's enabled bitset
-// (ExecutionState::enabled_select), or a rewiring candidate index at a
+// (EnabledSet::select), or a rewiring candidate index at a
 // pending rewiring. An out-of-range entry, early quiescence or a changed
 // enabled set at the backtrack target is a determinism bug
 // (std::logic_error), so the checker cannot silently wander off the

@@ -74,10 +74,7 @@ void ExecutionState::reset(const Instance& instance) {
   for (auto& queue : queues_) queue.reserve(reserve_per_node);
   for (auto& set : staying_) set.reserve(reserve_per_node);
 
-  enabled_.clear();
-  enabled_.reserve(k);
-  enabled_pos_.assign(k, kNotEnabled);
-  enabled_bits_.assign((k + 63) / 64, 0);
+  enabled_.reset(k);
 
   agents_.resize(k);
   for (AgentId id = 0; id < k; ++id) {
@@ -149,48 +146,6 @@ RunResult ExecutionState::run(Scheduler& scheduler) {
                                        : run_impl<false, false>(scheduler);
 }
 
-template <bool Logging, bool Fault>
-std::optional<RunResult> ExecutionState::run_chunk_impl(Scheduler& scheduler,
-                                                        SchedulerKind kind,
-                                                        std::size_t budget) {
-  // Same termination checks in the same order as run_impl — quiescence
-  // before the action limit — so a budget-sliced run retires with the exact
-  // RunResult a monolithic run would.
-  while (budget-- > 0) {
-    if (enabled_.empty()) {
-      return RunResult{RunResult::Outcome::Quiescent, action_counter_};
-    }
-    if (action_counter_ >= options_.max_actions) {
-      return RunResult{RunResult::Outcome::ActionLimit, action_counter_};
-    }
-    if (has_fault_events_ && pending_rewire_) {
-      // Resolving a rewiring charges one budget unit like an action would;
-      // the action *sequence* is budget-independent either way (the chunk
-      // boundary still carries no state), which is all the byte-equality
-      // contract needs.
-      apply_rewire(scheduler.pick_index(rewire_candidates_));
-      continue;
-    }
-    execute_action_impl<Logging, Fault>(
-        Scheduler::draw_batch(scheduler, kind, enabled_));
-  }
-  return std::nullopt;
-}
-
-std::optional<RunResult> ExecutionState::run_chunk(Scheduler& scheduler,
-                                                   SchedulerKind kind,
-                                                   std::size_t budget) {
-  // Mode dispatch once per chunk (cf. run()'s once per run).
-  if (log_.enabled()) {
-    return options_.fault_non_fifo_links
-               ? run_chunk_impl<true, true>(scheduler, kind, budget)
-               : run_chunk_impl<true, false>(scheduler, kind, budget);
-  }
-  return options_.fault_non_fifo_links
-             ? run_chunk_impl<false, true>(scheduler, kind, budget)
-             : run_chunk_impl<false, false>(scheduler, kind, budget);
-}
-
 bool ExecutionState::step(Scheduler& scheduler) {
   if (enabled_.empty()) return false;
   if (has_fault_events_ && pending_rewire_) {
@@ -201,7 +156,7 @@ bool ExecutionState::step(Scheduler& scheduler) {
 }
 
 bool ExecutionState::step_agent(AgentId id) {
-  if (id >= agents_.size() || enabled_pos_.at(id) == kNotEnabled) return false;
+  if (!enabled_.contains(id)) return false;
   execute_action(id);
   return true;
 }
@@ -618,19 +573,11 @@ void ExecutionState::refresh_enabled(AgentId id) {
 template <bool Fault>
 void ExecutionState::refresh_enabled_impl(AgentId id) {
   const bool want = should_be_enabled_impl<Fault>(id);
-  const std::size_t pos = enabled_pos_[id];
-  const std::uint64_t bit = std::uint64_t{1} << (id % 64);
-  if (want && pos == kNotEnabled) {
-    enabled_pos_[id] = enabled_.size();
-    enabled_.push_back(id);
-    enabled_bits_[id / 64] |= bit;
-  } else if (!want && pos != kNotEnabled) {
-    const AgentId moved = enabled_.back();
-    enabled_[pos] = moved;
-    enabled_pos_[moved] = pos;
-    enabled_.pop_back();
-    enabled_pos_[id] = kNotEnabled;
-    enabled_bits_[id / 64] &= ~bit;
+  if (want == enabled_.contains(id)) return;
+  if (want) {
+    enabled_.insert(id);
+  } else {
+    enabled_.erase(id);
   }
 }
 
@@ -715,9 +662,9 @@ void ExecutionState::agent_broadcast(AgentId id, Message message) {
       rc.mailbox.push_back(message);
     }
     rc.wake_ts = std::max(rc.wake_ts, sender.last_ts);
-    const bool was_enabled = enabled_pos_[other] != kNotEnabled;
+    const bool was_enabled = enabled_.contains(other);
     refresh_enabled(other);
-    if (logging && !was_enabled && enabled_pos_[other] != kNotEnabled) {
+    if (logging && !was_enabled && enabled_.contains(other)) {
       log_.record({action_counter_, EventKind::Wake, other, rc.node, sender.last_ts, id});
     }
     ++receivers;

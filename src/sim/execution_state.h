@@ -40,17 +40,15 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "sim/agent.h"
+#include "sim/enabled_set.h"
 #include "sim/event_log.h"
 #include "sim/instance.h"
 #include "sim/link_queue.h"
@@ -139,10 +137,10 @@ class ExecutionState {
   // ---- dynamic-ring rewiring (sim/fault.h) --------------------------------
 
   /// True while a scheduled rewiring (FaultPlan::rewire_at) awaits its
-  /// replacement-cycle choice. run()/step()/run_chunk() resolve it at the
-  /// next choice point via Scheduler::pick_index; drivers that step agents
-  /// directly (the model checker) must resolve it themselves with
-  /// apply_rewire() before the next action.
+  /// replacement-cycle choice. run()/step() resolve it at the next choice
+  /// point via Scheduler::pick_index; drivers that step agents directly
+  /// (the model checker) must resolve it themselves with apply_rewire()
+  /// before the next action.
   [[nodiscard]] bool pending_rewire() const noexcept { return pending_rewire_; }
 
   /// Number of replacement cycles a pending rewiring can choose among
@@ -179,23 +177,11 @@ class ExecutionState {
   }
 
   /// Executes one atomic action for `id`, which MUST currently be enabled —
-  /// Scheduler::draw_batch's choice (sim::BatchArena) or an enabled_select
-  /// result (mc's prefix replay) — so the membership re-check step_agent
-  /// performs is skipped. Behaviour is byte-identical to the action run()
-  /// would execute for the same choice.
+  /// a Scheduler::draw_batch choice or an enabled().select result (mc's
+  /// prefix replay) — so the membership re-check step_agent performs is
+  /// skipped. Behaviour is byte-identical to the action run() would execute
+  /// for the same choice.
   void step_chosen(AgentId id) { execute_action(id); }
-
-  /// Lane-sweep entry (sim::BatchArena): runs up to `budget` atomic actions,
-  /// drawing each choice through Scheduler::draw_batch(scheduler, kind, …) —
-  /// the devirtualized equivalent of scheduler.pick(). Returns the finished
-  /// RunResult when the run completed within the budget (quiescent, or the
-  /// instance's action limit — checked in exactly run()'s order), or nullopt
-  /// when the budget ran out first and the lane should be swept again.
-  /// A sequence of run_chunk calls with any budgets executes the byte-exact
-  /// action sequence run(scheduler) would, because the chunk boundary carries
-  /// no state: each draw depends only on the scheduler and the enabled set.
-  std::optional<RunResult> run_chunk(Scheduler& scheduler, SchedulerKind kind,
-                                     std::size_t budget);
 
   // ---- inspection ---------------------------------------------------------
 
@@ -227,47 +213,9 @@ class ExecutionState {
   [[nodiscard]] NodeId agent_node(AgentId id) const { return cell(id).node; }
 
   /// Agents currently allowed to act (queue heads; schedulable stayers;
-  /// parked agents with pending mail).
-  [[nodiscard]] const std::vector<AgentId>& enabled() const noexcept {
-    return enabled_;
-  }
-
-  /// The enabled set as a bitset over agent ids (bit id % 64 of word
-  /// id / 64), kept in step with enabled() by the one writer of both. The
-  /// sorted-rank view the choice encoding needs (explore/replay.h, mc::)
-  /// reads this instead of copying and sorting enabled().
-  [[nodiscard]] std::span<const std::uint64_t> enabled_bits() const noexcept {
-    return enabled_bits_;
-  }
-
-  /// Number of enabled agents with an id smaller than `id` — the index `id`
-  /// has (or would have) in the sorted enabled set. Requires
-  /// id < agent_count().
-  [[nodiscard]] std::size_t enabled_rank(AgentId id) const noexcept {
-    const std::size_t word = id / 64;
-    std::size_t rank = 0;
-    for (std::size_t w = 0; w < word; ++w) {
-      rank += static_cast<std::size_t>(std::popcount(enabled_bits_[w]));
-    }
-    const std::uint64_t below = (std::uint64_t{1} << (id % 64)) - 1;
-    return rank +
-           static_cast<std::size_t>(std::popcount(enabled_bits_[word] & below));
-  }
-
-  /// The `rank`-th smallest enabled id (0-based): the inverse of
-  /// enabled_rank. Throws std::out_of_range when rank >= enabled().size().
-  [[nodiscard]] AgentId enabled_select(std::size_t rank) const {
-    if (rank >= enabled_.size()) {
-      throw std::out_of_range("ExecutionState: enabled rank out of range");
-    }
-    for (std::size_t w = 0;; ++w) {
-      for (std::uint64_t bits = enabled_bits_[w]; bits != 0; bits &= bits - 1) {
-        if (rank-- == 0) {
-          return static_cast<AgentId>(w * 64 + std::countr_zero(bits));
-        }
-      }
-    }
-  }
+  /// parked agents with pending mail), as both the insertion-ordered list
+  /// and the id bitset (sim/enabled_set.h). This state is its one writer.
+  [[nodiscard]] const EnabledSet& enabled() const noexcept { return enabled_; }
 
   [[nodiscard]] bool quiescent() const noexcept { return enabled_.empty(); }
   [[nodiscard]] bool all_halted() const noexcept;
@@ -386,10 +334,6 @@ class ExecutionState {
   void execute_action_impl(AgentId id);
   template <bool Logging, bool Fault>
   RunResult run_impl(Scheduler& scheduler);
-  template <bool Logging, bool Fault>
-  std::optional<RunResult> run_chunk_impl(Scheduler& scheduler,
-                                          SchedulerKind kind,
-                                          std::size_t budget);
   void refresh_enabled(AgentId id);
   template <bool Fault>
   void refresh_enabled_impl(AgentId id);
@@ -428,9 +372,7 @@ class ExecutionState {
   std::vector<LinkQueue> queues_;                  // q_i: in transit to node i
   std::vector<std::vector<AgentId>> staying_;      // p_i: staying at node i
   std::vector<std::uint64_t> queue_arrival_ts_;    // FIFO causal stamps
-  std::vector<AgentId> enabled_;
-  std::vector<std::size_t> enabled_pos_;           // id -> index in enabled_
-  std::vector<std::uint64_t> enabled_bits_;        // enabled_ as an id bitset
+  EnabledSet enabled_;
   Metrics metrics_;
   EventLog log_;
   std::size_t action_counter_ = 0;
@@ -451,8 +393,6 @@ class ExecutionState {
   std::size_t rewire_candidates_ = 0;  // φ(n), cached at reset
   std::size_t drops_remaining_ = 0;
   std::size_t dups_remaining_ = 0;
-
-  static constexpr std::size_t kNotEnabled = static_cast<std::size_t>(-1);
 };
 
 /// Historical name, kept so the execution engine reads as "the simulator"

@@ -15,8 +15,7 @@
 // and — in its tighter post-hoc form — ExecutionState::last_action_nodes(),
 // which the O(dirty) incremental invariant checker consumes. This header is
 // the single definition; a drifted copy would silently unsound one of the
-// pruners, so new consumers (the lane-batched stepper included) must use it
-// instead of re-deriving the pair.
+// pruners, so new consumers must use it instead of re-deriving the pair.
 
 #pragma once
 

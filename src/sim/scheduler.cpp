@@ -7,13 +7,10 @@ namespace udring::sim {
 
 // ---- RoundRobinScheduler ----------------------------------------------------
 
-// pick() bodies live inline in scheduler.h (the batched draw must inline
-// them); only the cold per-run machinery stays here.
+// pick() bodies live inline in scheduler.h (draw_batch must inline them);
+// only the cold per-run machinery stays here.
 
-void RoundRobinScheduler::reset(std::size_t agent_count) {
-  agent_count_ = agent_count;
-  cursor_ = 0;
-}
+void RoundRobinScheduler::reset(std::size_t /*agent_count*/) { cursor_ = 0; }
 
 // ---- RandomScheduler --------------------------------------------------------
 

@@ -31,13 +31,13 @@
 
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "sim/enabled_set.h"
 #include "sim/types.h"
 #include "util/rng.h"
 
@@ -67,8 +67,8 @@ class Scheduler {
   /// across runs with per-run seeds.
   virtual void reseed(std::uint64_t seed) { (void)seed; }
 
-  /// Chooses the next agent to act from `enabled` (never empty, unordered).
-  [[nodiscard]] virtual AgentId pick(const std::vector<AgentId>& enabled) = 0;
+  /// Chooses the next agent to act from `enabled` (never empty).
+  [[nodiscard]] virtual AgentId pick(const EnabledSet& enabled) = 0;
 
   /// Chooses an index in [0, bound) at a *non-agent* choice point — today,
   /// which replacement cycle a pending dynamic-ring rewiring installs
@@ -91,58 +91,45 @@ class Scheduler {
   /// Completed lockstep rounds; 0 for schedulers without round structure.
   [[nodiscard]] virtual std::uint64_t rounds() const { return 0; }
 
-  /// The batched draw API — the per-action entry of the lane-stepping
-  /// engine (sim::BatchArena). Semantically identical to scheduler.pick():
-  /// `kind` devirtualizes the five built-in kinds (they are final, so the
-  /// cast + call inlines into the lane sweep), and MUST name `scheduler`'s
-  /// dynamic type when it is one of them. Defined after the derived classes.
+  /// The devirtualized draw for drivers that step a state by hand.
+  /// Semantically identical to scheduler.pick(): `kind` devirtualizes the
+  /// five built-in kinds (they are final, so the cast + call inlines into
+  /// the caller's loop), and MUST name `scheduler`'s dynamic type when it is
+  /// one of them. Defined after the derived classes.
   [[nodiscard]] static AgentId draw_batch(Scheduler& scheduler,
                                           SchedulerKind kind,
-                                          const std::vector<AgentId>& enabled);
+                                          const EnabledSet& enabled);
 
   /// Kind-less overload for schedulers outside SchedulerKind (the explore
-  /// adversaries): the plain virtual draw, so lane-pooled drivers have one
-  /// spelling for both worlds.
+  /// adversaries): the plain virtual draw, so drivers have one spelling for
+  /// both worlds.
   [[nodiscard]] static AgentId draw_batch(Scheduler& scheduler,
-                                          const std::vector<AgentId>& enabled) {
+                                          const EnabledSet& enabled) {
     return scheduler.pick(enabled);
   }
 };
 
 // The pick() bodies of the five built-in kinds live here, in-class, so both
-// virtual dispatch (ExecutionState::run) and the devirtualized batched draw
+// virtual dispatch (ExecutionState::run) and the devirtualized draw
 // (Scheduler::draw_batch below) inline them — a per-action call, worth
 // ~20% of the campaign hot loop. Cold members (reset, constructors) stay in
 // scheduler.cpp.
 
 /// Cycles through agent ids, running the first enabled agent at or after the
-/// cursor.
+/// cursor (wrapping to the lowest enabled id): a few word operations on the
+/// enabled bitset, not a scan of the enabled list.
 class RoundRobinScheduler final : public Scheduler {
  public:
   void reset(std::size_t agent_count) override;
-  AgentId pick(const std::vector<AgentId>& enabled) override {
-    // Choose the enabled agent with the smallest cyclic distance from cursor_.
-    AgentId best = enabled.front();
-    std::size_t best_key = agent_count_;
-    for (const AgentId id : enabled) {
-      const std::size_t key =
-          id >= cursor_ ? id - cursor_ : agent_count_ - cursor_ + id;
-      if (key < best_key) {
-        best_key = key;
-        best = id;
-      }
-    }
-    // best < agent_count_ always (it is an enabled agent id), so the cyclic
-    // increment needs a compare, not a per-action modulo.
-    cursor_ = best + 1;
-    if (cursor_ >= agent_count_) cursor_ = 0;
+  AgentId pick(const EnabledSet& enabled) override {
+    const AgentId best = enabled.next_at_or_after(cursor_);
+    cursor_ = best + 1 < enabled.agent_count() ? best + 1 : 0;
     return best;
   }
   [[nodiscard]] std::string_view name() const override { return "round-robin"; }
 
  private:
-  std::size_t agent_count_ = 0;
-  std::size_t cursor_ = 0;
+  AgentId cursor_ = 0;
 };
 
 /// Uniformly random choice among enabled agents (seeded, reproducible).
@@ -151,9 +138,9 @@ class RandomScheduler final : public Scheduler {
   explicit RandomScheduler(std::uint64_t seed) : seed_(seed), rng_(seed) {}
   void reset(std::size_t agent_count) override;
   void reseed(std::uint64_t seed) override { seed_ = seed; }
-  AgentId pick(const std::vector<AgentId>& enabled) override {
-    // Depends on enabled's (insertion-with-swap-remove) order: part of the
-    // frozen schedule derivation, like the Rng stream itself.
+  AgentId pick(const EnabledSet& enabled) override {
+    // Depends on enabled's (insertion-with-swap-remove) list order: part of
+    // the frozen schedule derivation, like the Rng stream itself.
     return enabled[rng_.index(enabled.size())];
   }
   std::size_t pick_index(std::size_t bound) override {
@@ -176,7 +163,7 @@ class RandomScheduler final : public Scheduler {
 class SynchronousScheduler final : public Scheduler {
  public:
   void reset(std::size_t agent_count) override;
-  AgentId pick(const std::vector<AgentId>& enabled) override {
+  AgentId pick(const EnabledSet& enabled) override {
     const std::uint64_t current = rounds_ + 1;
     for (const AgentId id : enabled) {
       if (acted_round_[id] < current) {
@@ -212,7 +199,7 @@ class PriorityScheduler final : public Scheduler {
   PriorityScheduler() = default;  ///< descending ids, sized at reset()
   explicit PriorityScheduler(std::vector<AgentId> order);
   void reset(std::size_t agent_count) override;
-  AgentId pick(const std::vector<AgentId>& enabled) override {
+  AgentId pick(const EnabledSet& enabled) override {
     AgentId best = enabled.front();
     for (const AgentId id : enabled) {
       if (rank_[id] < rank_[best]) best = id;
@@ -235,11 +222,8 @@ class BurstScheduler final : public Scheduler {
   explicit BurstScheduler(std::uint64_t seed) : seed_(seed), rng_(seed) {}
   void reset(std::size_t agent_count) override;
   void reseed(std::uint64_t seed) override { seed_ = seed; }
-  AgentId pick(const std::vector<AgentId>& enabled) override {
-    if (current_ != kNoAgent &&
-        std::find(enabled.begin(), enabled.end(), current_) != enabled.end()) {
-      return current_;
-    }
+  AgentId pick(const EnabledSet& enabled) override {
+    if (enabled.contains(current_)) return current_;
     current_ = enabled[rng_.index(enabled.size())];
     return current_;
   }
@@ -270,8 +254,8 @@ inline constexpr std::size_t kSchedulerKindCount =
     static_cast<std::size_t>(SchedulerKind::Burst) + 1;
 
 inline AgentId Scheduler::draw_batch(Scheduler& scheduler, SchedulerKind kind,
-                                     const std::vector<AgentId>& enabled) {
-  // One predictable switch on a lane-resident tag replaces the indirect
+                                     const EnabledSet& enabled) {
+  // One predictable switch on the run's kind replaces the indirect
   // virtual call; each case is a direct (inlineable) call on a final class.
   switch (kind) {
     case SchedulerKind::RoundRobin:

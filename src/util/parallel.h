@@ -39,19 +39,4 @@ std::size_t parallel_for_workers(
 std::size_t parallel_for_index(std::size_t count, std::size_t workers,
                                const std::function<void(std::size_t)>& fn);
 
-/// Pump form, for drivers that interleave several in-flight indices per
-/// worker (the lane-batched campaign engine): each worker thread runs
-/// body(worker, claim) ONCE, pulling indices itself through claim() — which
-/// atomically returns the next unclaimed index in [0, count), or `count`
-/// when the range is exhausted. The same atomic-cursor stealing as
-/// parallel_for_workers, with the loop inverted so the body can hold B
-/// claimed indices open at a time. If a body throws, the cursor is drained
-/// so other workers' claims stop, and the first exception is rethrown after
-/// the join. workers == 1 runs the body inline on the calling thread.
-/// Returns the worker count actually used.
-std::size_t parallel_pump_workers(
-    std::size_t count, std::size_t workers,
-    const std::function<void(std::size_t,
-                             const std::function<std::size_t()>&)>& body);
-
 }  // namespace udring

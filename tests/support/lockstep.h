@@ -26,7 +26,7 @@ namespace udring::test {
 /// become enabled mid-round wait for the next round). Returns false when the
 /// simulator was quiescent.
 inline bool lockstep_round(sim::Simulator& simulator) {
-  std::vector<sim::AgentId> enabled = simulator.enabled();
+  std::vector<sim::AgentId> enabled = simulator.enabled().list();
   if (enabled.empty()) return false;
   std::sort(enabled.begin(), enabled.end());
   for (const sim::AgentId id : enabled) {

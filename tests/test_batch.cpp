@@ -1,20 +1,14 @@
-// Tests for the lane-batched execution engine: sim::BatchArena itself
-// (per-lane retirement, chunked stepping) and its integration under
-// exp::run_campaign / run_campaign_streaming via
-// CampaignOptions::batch_lanes. The contract under test is byte-identity:
-// per-scenario results, the campaign digest, CellStats folds and failure
-// samples must be identical to the scalar pooled path at ANY lane × worker
-// combination — lanes are an execution-interleaving choice, never an
-// observable one.
-
-#include "sim/batch_arena.h"
+// A/B of the campaign engine's lean scenario epilogue (finish_scenario in
+// exp/campaign.cpp) against core::RunContext::run, which judges the same run
+// through core's full RunReport epilogue. The campaign keeps only the fields
+// its folds consume; those fields — success, the failure text, the three
+// complexity measures, the action count and the final positions — must be
+// the ones the full report derives, on successful and on action-limited
+// runs alike.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
-#include <optional>
-#include <stdexcept>
 #include <vector>
 
 #include "core/runner.h"
@@ -23,113 +17,15 @@
 namespace udring {
 namespace {
 
-// ---- BatchArena unit tests --------------------------------------------------
-
-core::RunSpec arena_spec(std::size_t node_count, std::uint64_t seed) {
-  core::RunSpec spec;
-  spec.node_count = node_count;
-  spec.homes = {0, node_count / 2};
-  spec.scheduler = sim::SchedulerKind::Random;
-  spec.seed = seed;
-  return spec;
-}
-
-TEST(BatchArena, RejectsZeroLanes) {
-  EXPECT_THROW(sim::BatchArena(0), std::invalid_argument);
-}
-
-TEST(BatchArena, RetiresEveryFedScenarioAndRefillsPerLane) {
-  // 11 scenarios through 3 lanes: every ticket retires exactly once, and
-  // every lane is refilled (11 > 2 × 3, so each lane must turn over).
-  constexpr std::size_t kLanes = 3;
-  constexpr std::uint64_t kScenarios = 11;
-
-  core::LanePool pool(kLanes);
-  sim::BatchArena arena(kLanes);
-  ASSERT_EQ(arena.lanes(), kLanes);
-
-  std::uint64_t next = 0;
-  std::map<std::uint64_t, int> retired;           // ticket -> retire count
-  std::vector<int> loads_per_lane(kLanes, 0);
-  arena.run(
-      [&](std::size_t lane) {
-        if (next == kScenarios) return false;
-        const core::RunSpec spec = arena_spec(16 + 2 * (next % 4), 100 + next);
-        const sim::Instance& instance =
-            pool.emplace_instance(lane, core::Algorithm::KnownKFull, spec);
-        sim::Scheduler& scheduler = pool.scheduler(
-            lane, spec.scheduler, spec.seed, spec.homes.size());
-        arena.load(lane, instance, scheduler, spec.scheduler, next);
-        ++loads_per_lane[lane];
-        ++next;
-        return true;
-      },
-      [&](std::size_t lane, std::uint64_t ticket, const sim::RunResult& result) {
-        EXPECT_TRUE(result.quiescent());
-        EXPECT_GT(result.actions, 0u);
-        // The lane still holds the finished configuration at retire time.
-        EXPECT_FALSE(arena.state(lane).staying_nodes().empty());
-        ++retired[ticket];
-      },
-      nullptr);
-
-  ASSERT_EQ(retired.size(), kScenarios);
-  for (const auto& [ticket, count] : retired) {
-    EXPECT_EQ(count, 1) << "ticket " << ticket;
-    EXPECT_LT(ticket, kScenarios);
-  }
-  for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    EXPECT_GT(loads_per_lane[lane], 1) << "lane " << lane << " never refilled";
-  }
-}
-
-TEST(BatchArena, ChunkedRunIsByteIdenticalToMonolithicRun) {
-  // A sequence of run_chunk calls must execute the byte-exact action
-  // sequence run() would, for any budget — the chunk boundary carries no
-  // state. Compare the full event-log digest, not just the outcome.
-  const core::RunSpec spec = arena_spec(24, 42);
-
-  core::RunContext reference;
-  const core::RunReport expected =
-      reference.run(core::Algorithm::KnownKFull, spec);
-  const std::uint64_t expected_log = reference.state().log().digest();
-
-  for (const std::size_t budget :
-       {std::size_t{1}, std::size_t{7}, sim::BatchArena::kChunkActions}) {
-    core::LanePool pool(1);
-    const sim::Instance& instance =
-        pool.emplace_instance(0, core::Algorithm::KnownKFull, spec);
-    sim::Scheduler& scheduler =
-        pool.scheduler(0, spec.scheduler, spec.seed, spec.homes.size());
-    sim::ExecutionState state;
-    state.reset(instance);
-    scheduler.attach(state);
-    scheduler.reset(spec.homes.size());
-
-    std::optional<sim::RunResult> result;
-    std::size_t chunks = 0;
-    while (!(result = state.run_chunk(scheduler, spec.scheduler, budget))) {
-      ++chunks;
-      ASSERT_LT(chunks, 100000u) << "budget " << budget << " never completed";
-    }
-    EXPECT_EQ(result->actions, expected.result.actions) << "budget " << budget;
-    EXPECT_TRUE(result->quiescent()) << "budget " << budget;
-    EXPECT_EQ(state.log().digest(), expected_log) << "budget " << budget;
-    EXPECT_EQ(state.staying_nodes(), reference.state().staying_nodes());
-    EXPECT_EQ(state.metrics().total_moves(),
-              reference.state().metrics().total_moves());
-  }
-}
-
-// ---- campaign-level A/B: batched engine vs scalar pooled path ---------------
-
 exp::CampaignGrid ab_grid() {
   exp::CampaignGrid grid;
   grid.algorithms = {core::Algorithm::KnownKFull,
                      core::Algorithm::UnknownRelaxed};
-  grid.families = {exp::ConfigFamily::RandomAny};
+  // Deterministic kinds only: their runs do not depend on the scheduler
+  // seed the engine derives, so a RunSpec built from scenario_homes
+  // reproduces each scenario exactly.
   grid.schedulers = {sim::SchedulerKind::RoundRobin,
-                     sim::SchedulerKind::Random, sim::SchedulerKind::Burst};
+                     sim::SchedulerKind::Synchronous};
   grid.node_counts = {16, 24};
   grid.agent_counts = {2, 4};
   grid.seeds = 3;
@@ -137,154 +33,50 @@ exp::CampaignGrid ab_grid() {
   return grid;
 }
 
-TEST(BatchedCampaign, DigestIdenticalAcrossLaneAndWorkerCounts) {
-  const exp::CampaignGrid grid = ab_grid();
-  // lanes=1 forces the historical scalar path: the independent comparator.
-  const exp::CampaignResult reference =
-      run_campaign(grid, {.workers = 1, .batch_lanes = 1});
-
-  for (const std::size_t lanes :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{0}}) {
-    for (const std::size_t workers :
-         {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {  // 0 = hardware
-      exp::CampaignOptions options;
-      options.workers = workers;
-      options.batch_lanes = lanes;
-      const exp::CampaignResult materialized = run_campaign(grid, options);
-      EXPECT_EQ(materialized.digest(), reference.digest())
-          << "lanes=" << lanes << " workers=" << workers;
-      EXPECT_EQ(materialized.scenario_hash, reference.scenario_hash)
-          << "lanes=" << lanes << " workers=" << workers;
-      const exp::CampaignResult streamed =
-          run_campaign_streaming(grid, options);
-      EXPECT_EQ(streamed.digest(), reference.digest())
-          << "streaming lanes=" << lanes << " workers=" << workers;
-    }
-  }
-}
-
-TEST(BatchedCampaign, PerScenarioResultsIdenticalIncludingFinalPositions) {
-  exp::CampaignGrid grid = ab_grid();
+void expect_epilogues_agree(const exp::CampaignGrid& grid) {
   exp::CampaignOptions options;
   options.workers = 1;
   options.record_final_positions = true;
+  const exp::CampaignResult campaign = run_campaign(grid, options);
+  ASSERT_EQ(campaign.results.size(), campaign.scenarios.size());
 
-  options.batch_lanes = 1;
-  const exp::CampaignResult scalar = run_campaign(grid, options);
-  options.batch_lanes = 4;
-  const exp::CampaignResult batched = run_campaign(grid, options);
+  core::RunContext context;
+  for (std::size_t i = 0; i < campaign.scenarios.size(); ++i) {
+    const exp::Scenario& s = campaign.scenarios[i];
+    core::RunSpec spec;
+    spec.node_count = s.node_count;
+    spec.homes = exp::scenario_homes(grid, s);
+    spec.scheduler = s.scheduler;
+    spec.sim_options = grid.sim_options;
+    const core::RunReport report = context.run(s.algorithm, spec);
 
-  ASSERT_EQ(batched.results.size(), scalar.results.size());
-  for (std::size_t i = 0; i < scalar.results.size(); ++i) {
-    const exp::ScenarioResult& a = scalar.results[i];
-    const exp::ScenarioResult& b = batched.results[i];
-    EXPECT_EQ(b.success, a.success) << "scenario " << i;
-    EXPECT_EQ(b.total_moves, a.total_moves) << "scenario " << i;
-    EXPECT_EQ(b.makespan, a.makespan) << "scenario " << i;
-    EXPECT_EQ(b.max_memory_bits, a.max_memory_bits) << "scenario " << i;
-    EXPECT_EQ(b.actions, a.actions) << "scenario " << i;
-    EXPECT_EQ(b.failure(), a.failure()) << "scenario " << i;
-    ASSERT_EQ(b.final_positions().size(), a.final_positions().size())
+    const exp::ScenarioResult& r = campaign.results[i];
+    EXPECT_EQ(r.success, report.success) << "scenario " << i;
+    EXPECT_EQ(r.failure(), report.failure) << "scenario " << i;
+    EXPECT_EQ(r.total_moves, report.total_moves) << "scenario " << i;
+    EXPECT_EQ(r.makespan, report.makespan) << "scenario " << i;
+    EXPECT_EQ(r.max_memory_bits, report.max_memory_bits) << "scenario " << i;
+    EXPECT_EQ(r.actions, report.result.actions) << "scenario " << i;
+    EXPECT_EQ(std::vector<std::size_t>(r.final_positions().begin(),
+                                       r.final_positions().end()),
+              report.final_positions)
         << "scenario " << i;
-    for (std::size_t p = 0; p < a.final_positions().size(); ++p) {
-      EXPECT_EQ(b.final_positions()[p], a.final_positions()[p])
-          << "scenario " << i << " position " << p;
-    }
-    EXPECT_FALSE(a.final_positions().empty()) << "scenario " << i;
   }
 }
 
-TEST(BatchedCampaign, FailureSamplesIdenticalAcrossEnginesAndWorkers) {
-  // An action budget of 40 fails every scenario; both engines must report
-  // the same failure count and the same lowest-index samples, globally and
-  // per cell, at any lane × worker count — including the streaming fold.
+TEST(CampaignEpilogue, MatchesRunContextReportsOnSuccessfulRuns) {
+  const exp::CampaignGrid grid = ab_grid();
+  ASSERT_NO_FATAL_FAILURE(expect_epilogues_agree(grid));
+  EXPECT_TRUE(run_campaign(grid, {.workers = 1}).all_ok());
+}
+
+TEST(CampaignEpilogue, MatchesRunContextReportsAtTheActionLimit) {
+  // 40 actions fail every scenario through the action-limit branch.
   exp::CampaignGrid grid = ab_grid();
   grid.sim_options.max_actions = 40;
-  exp::CampaignOptions options;
-  options.max_recorded_failures = 5;
-  options.max_failures_per_cell = 2;
-
-  options.workers = 1;
-  options.batch_lanes = 1;
-  const exp::CampaignResult scalar = run_campaign(grid, options);
-  ASSERT_GT(scalar.failures, 0u);
-  ASSERT_EQ(scalar.failure_samples.size(), 5u);
-
-  const auto check = [&](const exp::CampaignResult& candidate,
-                         std::size_t lanes, std::size_t workers) {
-    EXPECT_EQ(candidate.failures, scalar.failures)
-        << "lanes=" << lanes << " workers=" << workers;
-    EXPECT_EQ(candidate.failure_samples, scalar.failure_samples)
-        << "lanes=" << lanes << " workers=" << workers;
-    ASSERT_EQ(candidate.cells.size(), scalar.cells.size());
-    for (const auto& [key, stats] : candidate.cells) {
-      const exp::CellStats* expected = scalar.cell(key);
-      ASSERT_NE(expected, nullptr);
-      EXPECT_EQ(stats.failure_samples, expected->failure_samples)
-          << "lanes=" << lanes << " workers=" << workers;
-    }
-  };
-  for (const std::size_t lanes : {std::size_t{2}, std::size_t{4}}) {
-    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-      options.workers = workers;
-      options.batch_lanes = lanes;
-      check(run_campaign(grid, options), lanes, workers);
-      check(run_campaign_streaming(grid, options), lanes, workers);
-    }
-  }
-}
-
-// ---- satellite: memory budget × lanes ---------------------------------------
-
-TEST(BatchedCampaign, MemoryBudgetAndLanesComposeDeterministically) {
-  // A binding streaming budget admits an expansion-order prefix of cells.
-  // That decision is a function of (grid, options) alone, so with lanes AND
-  // a budget both active, every worker × lane combination must report the
-  // same skip set and fold the same admitted scenarios to the same digest.
-  const exp::CampaignGrid grid = ab_grid();
-  const std::vector<exp::CellKey> cells = expand_cells(grid);
-  ASSERT_GT(cells.size(), 5u);
-
-  exp::CampaignOptions options;
-  options.memory_budget_bytes = 5 * streaming_cell_footprint_bytes(options);
-  options.workers = 1;
-  options.batch_lanes = 1;
-  const exp::CampaignResult reference = run_campaign_streaming(grid, options);
-  ASSERT_EQ(reference.cells_skipped, cells.size() - 5);
-  ASSERT_EQ(reference.scenarios_skipped, (cells.size() - 5) * grid.seeds);
-  ASSERT_EQ(reference.skipped_cell_samples.front(), cells[5]);
-
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
-    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-      options.workers = workers;
-      options.batch_lanes = lanes;
-      const exp::CampaignResult budgeted =
-          run_campaign_streaming(grid, options);
-      EXPECT_EQ(budgeted.digest(), reference.digest())
-          << "lanes=" << lanes << " workers=" << workers;
-      EXPECT_EQ(budgeted.cells_skipped, reference.cells_skipped);
-      EXPECT_EQ(budgeted.scenarios_skipped, reference.scenarios_skipped);
-      EXPECT_EQ(budgeted.skipped_cell_samples, reference.skipped_cell_samples);
-      EXPECT_EQ(budgeted.scenario_count, reference.scenario_count);
-    }
-  }
-}
-
-// scenario_at must agree with the materialized expansion even when the
-// random-access form is the only one a batched streaming worker ever sees.
-TEST(BatchedCampaign, ScenarioAtDrivesBatchedStreamIdentically) {
-  const exp::CampaignGrid grid = ab_grid();
-  const std::vector<exp::Scenario> scenarios = expand(grid);
-  const std::vector<exp::CellKey> cells = expand_cells(grid);
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const exp::Scenario at = scenario_at(cells, grid.seeds, i);
-    EXPECT_EQ(at.index, scenarios[i].index);
-    EXPECT_EQ(at.algorithm, scenarios[i].algorithm);
-    EXPECT_EQ(at.scheduler, scenarios[i].scheduler);
-    EXPECT_EQ(at.node_count, scenarios[i].node_count);
-    EXPECT_EQ(at.agent_count, scenarios[i].agent_count);
-    EXPECT_EQ(at.repetition, scenarios[i].repetition);
-  }
+  ASSERT_NO_FATAL_FAILURE(expect_epilogues_agree(grid));
+  EXPECT_EQ(run_campaign(grid, {.workers = 1}).failures,
+            expand(grid).size());
 }
 
 }  // namespace

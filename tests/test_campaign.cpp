@@ -158,6 +158,24 @@ TEST(Campaign, AllRingAlgorithmsDigestIsPinned) {
   EXPECT_EQ(result.digest(), 0xaaf5fb6240f55a8dULL) << std::hex << result.digest();
 }
 
+TEST(Campaign, MultiWordEnabledSetDigestIsPinned) {
+  // Round-robin and burst at k > 64, where the enabled bitset spans two and
+  // three words, so every draw that crosses a word boundary or wraps the
+  // round-robin cursor past the last word enters the digest. The value was
+  // recorded with the cyclic-distance round-robin scan and the std::find
+  // burst membership check, before either read the bitset.
+  CampaignGrid grid;
+  grid.algorithms = {core::Algorithm::KnownKFull, core::Algorithm::UnknownRelaxed};
+  grid.schedulers = {sim::SchedulerKind::RoundRobin, sim::SchedulerKind::Burst};
+  grid.instances = {{256, 65}, {512, 130}};
+  grid.seeds = 3;
+  grid.base_seed = 29;
+  const CampaignResult result = run_campaign(grid, {.workers = 2});
+  ASSERT_EQ(result.scenarios.size(), 2u * 2u * 2u * 3u);
+  EXPECT_TRUE(result.all_ok()) << result.summary();
+  EXPECT_EQ(result.digest(), 0xaadcd389341fe31aULL) << std::hex << result.digest();
+}
+
 TEST(Campaign, FailingScenariosSurfaceInSummary) {
   CampaignGrid grid = small_grid();
   // An action budget of 1 cannot complete any run: every scenario must be

@@ -401,7 +401,7 @@ class StrideScriptScheduler final : public Scheduler {
   explicit StrideScriptScheduler(std::size_t stride_index)
       : stride_index_(stride_index) {}
   void reset(std::size_t /*agent_count*/) override {}
-  AgentId pick(const std::vector<AgentId>& enabled) override {
+  AgentId pick(const EnabledSet& enabled) override {
     return *std::min_element(enabled.begin(), enabled.end());
   }
   std::size_t pick_index(std::size_t bound) override {

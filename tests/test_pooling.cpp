@@ -117,7 +117,7 @@ TEST(SchedulerPooling, BurstSchedulerReseedsItsRngOnReset) {
   // Direct regression for the audit finding: pick sequences after a second
   // reset() must replay the first run's sequence exactly.
   sim::BurstScheduler scheduler(42);
-  const std::vector<sim::AgentId> enabled = {0, 1, 2, 3, 4};
+  const sim::EnabledSet enabled = sim::EnabledSet::of(5, {0, 1, 2, 3, 4});
   scheduler.reset(5);
   std::vector<sim::AgentId> first;
   for (int i = 0; i < 4; ++i) {
@@ -239,44 +239,6 @@ TEST(RunMany, MatchesRunAlgorithmPerSpec) {
   }
 }
 
-TEST(RunMany, LaneBatchedEngineMatchesScalarEngine) {
-  // run_many's lanes > 1 path routes every spec through a BatchArena with
-  // per-lane retirement; the reports (including scheduler_rounds, which the
-  // retire callback reads off the lane's scheduler) must be byte-identical
-  // to the scalar RunContext engine at any worker x lane combination. Mix
-  // scheduler kinds and seeds so lanes genuinely interleave unequal-length
-  // runs.
-  std::vector<core::RunSpec> specs;
-  std::uint64_t seed = 1;
-  for (const sim::SchedulerKind kind :
-       {sim::SchedulerKind::RoundRobin, sim::SchedulerKind::Random,
-        sim::SchedulerKind::Synchronous, sim::SchedulerKind::Burst}) {
-    for (const std::size_t n : {14u, 22u}) {
-      specs.push_back(make_spec(n, 3, kind, seed++));
-    }
-  }
-  for (const core::Algorithm algorithm :
-       {core::Algorithm::KnownKFull, core::Algorithm::UnknownRelaxed}) {
-    const std::vector<core::RunReport> scalar =
-        core::run_many(algorithm, specs, 1, 1);
-    ASSERT_EQ(scalar.size(), specs.size());
-    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
-      for (const std::size_t lanes : {std::size_t{2}, std::size_t{3}}) {
-        const std::vector<core::RunReport> batched =
-            core::run_many(algorithm, specs, workers, lanes);
-        ASSERT_EQ(batched.size(), specs.size());
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-          SCOPED_TRACE(std::string(core::to_string(algorithm)) + " spec " +
-                       std::to_string(i) + " workers " +
-                       std::to_string(workers) + " lanes " +
-                       std::to_string(lanes));
-          expect_reports_equal(batched[i], scalar[i]);
-        }
-      }
-    }
-  }
-}
-
 // ---- pooled mc explorer walks -----------------------------------------------
 
 TEST(McPooling, InterleavedChecksAreByteIdenticalToIsolatedOnes) {
@@ -309,7 +271,7 @@ TEST(McPooling, InterleavedChecksAreByteIdenticalToIsolatedOnes) {
   EXPECT_EQ(first.stats.total_actions, again.stats.total_actions);
 }
 
-// ---- draw_batch reseed audit: lane-pooled explore schedulers ----------------
+// ---- draw_batch reseed audit: pooled explore schedulers ---------------------
 
 /// The five sim/ kinds take the devirtualized draw_batch overload; the
 /// explore adversaries fall back to the kind-less virtual one.
@@ -332,8 +294,8 @@ std::optional<sim::SchedulerKind> devirtualized_kind(
 }
 
 /// Drives `state` to quiescence drawing every action through
-/// Scheduler::draw_batch — the exact per-action sequence a BatchArena lane
-/// performs (attach, reset, then one draw per step_chosen).
+/// Scheduler::draw_batch, the way a driver that steps a state by hand does
+/// (attach, reset, then one draw per step_chosen).
 std::uint64_t drive_via_draw_batch(sim::ExecutionState& state,
                                    sim::Scheduler& scheduler,
                                    std::optional<sim::SchedulerKind> kind,
@@ -357,8 +319,8 @@ std::uint64_t drive_via_draw_batch(sim::ExecutionState& state,
 class DrawBatchReseedSweep
     : public ::testing::TestWithParam<explore::ExploreSchedulerKind> {};
 
-TEST_P(DrawBatchReseedSweep, LanePooledSchedulerMatchesFreshPerScenario) {
-  // The lane-pool contract: ONE scheduler object reused across scenarios —
+TEST_P(DrawBatchReseedSweep, PooledSchedulerMatchesFreshPerScenario) {
+  // The pooling contract: ONE scheduler object reused across scenarios —
   // reseed(seed) + attach + reset per scenario, every draw through
   // draw_batch — is byte-identical to constructing a fresh
   // make_explore_scheduler for each scenario and letting
@@ -369,18 +331,18 @@ TEST_P(DrawBatchReseedSweep, LanePooledSchedulerMatchesFreshPerScenario) {
                                  make_spec(16, 3, sim::SchedulerKind::RoundRobin, 23)};
   const std::optional<sim::SchedulerKind> kind = devirtualized_kind(GetParam());
 
-  // Lane-pooled: one scheduler, one state, reused across all scenarios.
+  // Pooled: one scheduler, one state, reused across all scenarios.
   std::unique_ptr<sim::Scheduler> pooled = explore::make_explore_scheduler(
       GetParam(), specs[0].seed, specs[0].homes.size());
-  sim::ExecutionState lane_state;
+  sim::ExecutionState pooled_state;
 
   for (const core::RunSpec& spec : specs) {
     const sim::Instance pooled_instance =
         core::make_instance(core::Algorithm::KnownKFull, spec);
-    lane_state.reset(pooled_instance);
+    pooled_state.reset(pooled_instance);
     pooled->reseed(spec.seed);
     const std::uint64_t pooled_digest = drive_via_draw_batch(
-        lane_state, *pooled, kind, spec.homes.size());
+        pooled_state, *pooled, kind, spec.homes.size());
 
     // Fresh per-scenario reference: new scheduler, new state, plain run().
     auto fresh = explore::make_explore_scheduler(GetParam(), spec.seed,
@@ -394,9 +356,9 @@ TEST_P(DrawBatchReseedSweep, LanePooledSchedulerMatchesFreshPerScenario) {
     EXPECT_TRUE(fresh_result.quiescent());
     EXPECT_EQ(pooled_digest, fresh_state.log().digest())
         << explore::to_string(GetParam()) << " n=" << spec.node_count
-        << ": lane-pooled reseed diverged from a fresh scheduler";
-    EXPECT_EQ(lane_state.staying_nodes(), fresh_state.staying_nodes());
-    EXPECT_EQ(lane_state.metrics().total_moves(),
+        << ": pooled reseed diverged from a fresh scheduler";
+    EXPECT_EQ(pooled_state.staying_nodes(), fresh_state.staying_nodes());
+    EXPECT_EQ(pooled_state.metrics().total_moves(),
               fresh_state.metrics().total_moves());
   }
 }

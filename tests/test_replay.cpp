@@ -213,7 +213,6 @@ TEST(ReplayScheduler, PadsExhaustedTraceWithFallback) {
   sim::ExecutionState state;
   state.reset(instance);
   ReplayScheduler scheduler({2, 1});
-  scheduler.attach(state);
   scheduler.reset(3);
   EXPECT_EQ(scheduler.pick(state.enabled()), 2u);  // sorted {0,1,2}[2]
   EXPECT_EQ(scheduler.pick(state.enabled()), 1u);  // sorted {0,1,2}[1]
@@ -226,7 +225,6 @@ TEST(ReplayScheduler, ReducesChoicesModuloEnabledCount) {
   sim::ExecutionState state;
   state.reset(instance);
   ReplayScheduler scheduler({7});
-  scheduler.attach(state);
   scheduler.reset(3);
   EXPECT_EQ(scheduler.pick(state.enabled()), 1u);  // sorted {0,1,2}[7 % 3]
 }
@@ -241,29 +239,30 @@ TEST(ReplayScheduler, PicksTheSortedRankWhateverTheEnabledOrder) {
   sim::ExecutionState state;
   state.reset(instance);
   ASSERT_TRUE(state.step_agent(0));
-  ASSERT_EQ(state.enabled(), (std::vector<sim::AgentId>{2, 1}));
+  ASSERT_EQ(state.enabled().list(), (std::vector<sim::AgentId>{2, 1}));
   ReplayScheduler scheduler({0, 1});
-  scheduler.attach(state);
   scheduler.reset(3);
   EXPECT_EQ(scheduler.pick(state.enabled()), 1u);
   EXPECT_EQ(scheduler.pick(state.enabled()), 2u);
 }
 
-TEST(ReplayScheduler, RefusesAnEnabledSetOfAnotherState) {
-  // The sorted view is read off the attached state, so a pick on any other
-  // list would silently answer for the wrong set.
-  const sim::Instance instance = sitters();
-  sim::ExecutionState state;
-  state.reset(instance);
-  ReplayScheduler replay({0});
-  EXPECT_THROW((void)replay.pick(state.enabled()), std::logic_error);
-  replay.attach(state);
-  const std::vector<sim::AgentId> copy = state.enabled();
-  EXPECT_THROW((void)replay.pick(copy), std::logic_error);
+TEST(ReplayScheduler, ReadsTheSortedRankOffTheSetItIsHanded) {
+  // No state is attached: rank and select come from the EnabledSet itself,
+  // here a two-word set listed out of id order.
+  const sim::EnabledSet enabled = sim::EnabledSet::of(70, {66, 3, 64});
+  ReplayScheduler replay({0, 1, 5});
+  replay.reset(70);
+  EXPECT_EQ(replay.pick(enabled), 3u);   // sorted {3, 64, 66}[0]
+  EXPECT_EQ(replay.pick(enabled), 64u);  // [1]
+  EXPECT_EQ(replay.pick(enabled), 66u);  // [5 % 3]
 
   RecordingScheduler record(
-      sim::make_scheduler(sim::SchedulerKind::RoundRobin, 1, 3));
-  EXPECT_THROW((void)record.pick(state.enabled()), std::logic_error);
+      sim::make_scheduler(sim::SchedulerKind::RoundRobin, 1, 70));
+  record.reset(70);
+  EXPECT_EQ(record.pick(enabled), 3u);
+  EXPECT_EQ(record.pick(enabled), 64u);
+  EXPECT_EQ(record.pick(enabled), 66u);
+  EXPECT_EQ(record.choices(), (std::vector<std::uint32_t>{0, 1, 2}));
 }
 
 TEST(TraceFormat, RejectsMalformedInput) {

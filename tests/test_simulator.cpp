@@ -335,23 +335,31 @@ TEST(Snapshot, ReflectsConfiguration) {
   for (const auto& queue : snap.queues) EXPECT_TRUE(queue.empty());
 }
 
-// ---- sorted rank / select over the enabled set ------------------------------
+// ---- the enabled set's bitset view against its list --------------------------
 
-/// The reference the bitset facility replaces: copy, sort, lower_bound.
+/// The reference the bitset view replaces: copy the list, sort, search.
 void expect_rank_select_match_sorted_copy(const Simulator& sim) {
-  std::vector<AgentId> sorted = sim.enabled();
+  const EnabledSet& enabled = sim.enabled();
+  std::vector<AgentId> sorted = enabled.list();
   std::sort(sorted.begin(), sorted.end());
+  ASSERT_EQ(enabled.agent_count(), sim.agent_count());
   for (AgentId id = 0; id < sim.agent_count(); ++id) {
-    const auto reference = static_cast<std::size_t>(
-        std::lower_bound(sorted.begin(), sorted.end(), id) - sorted.begin());
-    ASSERT_EQ(sim.enabled_rank(id), reference)
+    const auto at = std::lower_bound(sorted.begin(), sorted.end(), id);
+    ASSERT_EQ(enabled.rank(id), static_cast<std::size_t>(at - sorted.begin()))
         << "k=" << sim.agent_count() << " id=" << id;
+    ASSERT_EQ(enabled.contains(id), at != sorted.end() && *at == id)
+        << "k=" << sim.agent_count() << " id=" << id;
+    if (!sorted.empty()) {
+      ASSERT_EQ(enabled.next_at_or_after(id),
+                at != sorted.end() ? *at : sorted.front())
+          << "k=" << sim.agent_count() << " id=" << id;
+    }
   }
   for (std::size_t r = 0; r < sorted.size(); ++r) {
-    ASSERT_EQ(sim.enabled_select(r), sorted[r])
+    ASSERT_EQ(enabled.select(r), sorted[r])
         << "k=" << sim.agent_count() << " rank=" << r;
   }
-  EXPECT_THROW((void)sim.enabled_select(sorted.size()), std::out_of_range);
+  EXPECT_THROW((void)enabled.select(sorted.size()), std::out_of_range);
 }
 
 TEST(EnabledRank, RankAndSelectMatchSortedCopyOnRandomEnabledSets) {
@@ -372,7 +380,7 @@ TEST(EnabledRank, RankAndSelectMatchSortedCopyOnRandomEnabledSets) {
     const std::size_t check_every = std::max<std::size_t>(1, k / 8);
     ASSERT_NO_FATAL_FAILURE(expect_rank_select_match_sorted_copy(sim));
     for (std::size_t action = 1; !sim.quiescent(); ++action) {
-      const std::vector<AgentId>& enabled = sim.enabled();
+      const EnabledSet& enabled = sim.enabled();
       ASSERT_TRUE(sim.step_agent(enabled[rng.below(enabled.size())]));
       if (action % check_every == 0) {
         ASSERT_NO_FATAL_FAILURE(expect_rank_select_match_sorted_copy(sim));

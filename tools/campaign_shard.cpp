@@ -104,8 +104,6 @@ int run(int argc, char** argv) {
       cli.get_u64("base-seed", 0, "override the preset's base seed");
   const std::size_t workers =
       cli.get_size("workers", 0, "worker threads (0 = hardware)");
-  const std::size_t lanes =
-      cli.get_size("lanes", 0, "batch lanes per worker (0 = auto)");
   const bool merge =
       cli.get_flag("merge", "merge the positional shard files instead");
   const bool allow_partial = cli.get_flag(
@@ -139,7 +137,6 @@ int run(int argc, char** argv) {
   if (base_seed != 0) grid.base_seed = base_seed;
   exp::CampaignOptions options;
   options.workers = workers;
-  options.batch_lanes = lanes;
   options.checkpoint_every_scenarios = checkpoint_every;
 
   if (!shard_spec.empty()) {
