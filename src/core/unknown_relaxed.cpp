@@ -157,6 +157,9 @@ std::size_t UnknownRelaxedAgent::compute_memory_bits() const {
 std::uint64_t UnknownRelaxedAgent::state_hash() const {
   std::uint64_t h = hash_sequence(0x416c676f343536ULL, d_);  // "Algo456"
   h = hash_sequence(h, {n_est_, k_est_, nodes_, rank_, dis_base_});
+  // Not algorithm memory, but behaviour: corrections_ decides whether the
+  // patroller broadcasts, so states differing in it must not dedup.
+  h = hash_sequence(h, {first_n_est_, corrections_});
   return h;
 }
 

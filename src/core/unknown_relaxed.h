@@ -81,6 +81,8 @@ class UnknownRelaxedAgent final : public sim::AgentProgram {
   [[nodiscard]] const DistanceSeq& distance_sequence() const noexcept { return d_; }
 
  private:
+  friend struct UnknownRelaxedTestPeer;  // sets the instrumentation in tests
+
   /// Examines delivered messages; if one satisfies the Algorithm-6 resume
   /// conditions, returns the shift t and the message (best = largest n'ℓ).
   [[nodiscard]] std::optional<std::pair<sim::EstimateMessage, std::size_t>>
@@ -94,7 +96,8 @@ class UnknownRelaxedAgent final : public sim::AgentProgram {
   std::size_t rank_ = 0;
   std::size_t dis_base_ = 0;
 
-  // Instrumentation only (not counted in memory_bits).
+  // Instrumentation (not counted in memory_bits, but folded into
+  // state_hash: corrections_ gates the first-patrol broadcasts).
   std::size_t first_n_est_ = 0;
   std::size_t corrections_ = 0;
 };

@@ -27,10 +27,27 @@ void fold_cell_key(std::uint64_t& state, const CellKey& key) {
   fold64(state, key.symmetry);
   fold64(state, static_cast<std::uint64_t>(key.problem.kind));
   fold64(state, key.problem.gather_g);
-  // Folded only when non-empty so fault-free sweeps keep their pre-fault
-  // fingerprints (a v1 checkpoint of such a sweep stays resumable in spirit;
-  // the file format itself is gated by kVersion regardless).
-  if (!key.fault.empty()) key.fault.fold_into(state);
+  key.fault.fold_into(state);
+}
+
+/// Domain salt for the trailing checksum — distinct from every digest salt.
+constexpr std::uint64_t kChecksumSalt = 0x75d53c3e9a0b6f21ULL;
+
+/// The UDS3 trailer: a splitmix fold over the byte length and every byte
+/// of header + payload, eight little-endian bytes per fold. Each fold is a
+/// bijection of the running state for a fixed word, so any change confined
+/// to one word (every single-bit flip) changes the result.
+[[nodiscard]] std::uint64_t shard_checksum(std::string_view bytes) {
+  std::uint64_t state = kChecksumSalt;
+  fold64(state, bytes.size());
+  BinaryReader words(bytes);
+  while (words.remaining() >= 8) fold64(state, words.u64());
+  std::uint64_t tail = 0;
+  for (unsigned shift = 0; !words.at_end(); shift += 8) {
+    tail |= static_cast<std::uint64_t>(words.u8()) << shift;
+  }
+  fold64(state, tail);
+  return state;
 }
 
 [[noreturn]] void fail(const std::string& context, const std::string& what) {
@@ -242,14 +259,7 @@ std::uint64_t grid_fingerprint(const CampaignGrid& grid,
   fold64(state, grid.base_seed);
   fold64(state, grid.sim_options.record_events ? 1 : 0);
   fold64(state, grid.sim_options.max_actions);
-  fold64(state, grid.sim_options.fault_non_fifo_links ? 1 : 0);
-  fold64(state, grid.sim_options.fault_non_fifo_min_phase);
-  // Result-affecting like the legacy pair above; folded only when non-empty
-  // so fault-free fingerprints keep their historical values. (The per-cell
-  // fault-axis plans are already inside fold_cell_key.)
-  if (!grid.sim_options.faults.empty()) {
-    grid.sim_options.faults.fold_into(state);
-  }
+  grid.sim_options.faults.fold_into(state);
   fold64(state, options.max_recorded_failures);
   fold64(state, options.max_failures_per_cell);
   fold64(state, options.memory_budget_bytes);
@@ -288,20 +298,31 @@ std::string encode_shard(const ShardFile& shard) {
     encode_sketch(out, stats.moves_sketch);
     encode_sketch(out, stats.makespan_sketch);
   }
+  out.u64(shard_checksum(out.bytes()));
   return out.take();
 }
 
 ShardFile decode_shard(std::string_view bytes, const std::string& context) {
-  BinaryReader in(bytes, context);
-  if (in.u32() != ShardFile::kMagic) {
+  BinaryReader header(bytes, context);
+  const std::uint32_t magic = header.u32();
+  const std::uint32_t version = header.u32();
+  // The low three bytes spell "UDS" in every version; the fourth is the
+  // version digit, so an older file reports its version, not "bad magic".
+  if ((magic ^ ShardFile::kMagic) & 0x00ffffffu) {
     fail(context, "bad magic (not a shard file)");
   }
-  const std::uint32_t version = in.u32();
-  if (version != ShardFile::kVersion) {
+  if (magic != ShardFile::kMagic || version != ShardFile::kVersion) {
     fail(context, "unsupported shard version " + std::to_string(version) +
                       " (this build reads version " +
                       std::to_string(ShardFile::kVersion) + ")");
   }
+  if (bytes.size() < 16) fail(context, "truncated (no checksum)");
+  const std::string_view body = bytes.substr(0, bytes.size() - 8);
+  BinaryReader trailer(bytes.substr(body.size()), context);
+  if (trailer.u64() != shard_checksum(body)) {
+    fail(context, "checksum mismatch (corrupt or truncated file)");
+  }
+  BinaryReader in(body.substr(8), context);
   ShardFile shard;
   shard.fingerprint = in.u64();
   shard.scenario_total = in.u64();

@@ -35,6 +35,14 @@
 //
 // All integers little-endian fixed-width (util/binio.h); files written
 // atomically (write-temp + rename) so a reader never observes a torn file.
+//
+// UDS3 layout: u32 magic "UDS3", u32 version 3, the header and payload
+// fields in ShardFile member order, then a u64 CHECKSUM — a splitmix fold
+// (util/rng.h fold64) over the total length and every preceding byte, eight
+// little-endian bytes per fold. decode_shard verifies it before parsing a
+// single field, so a flipped bit or a torn tail is a named error, never a
+// silently different campaign. A UDS2 file fails with "unsupported shard
+// version 2".
 
 #pragma once
 
@@ -50,10 +58,11 @@ namespace udring::exp {
 
 /// One serialized partial campaign: header + provenance + aggregate.
 struct ShardFile {
-  /// "UDS2" little-endian; bumped in lockstep with kVersion on layout change.
+  /// "UDS3" little-endian; bumped in lockstep with kVersion on layout change.
   /// v2: cell keys carry the fault-axis plan (sim::FaultPlan).
-  static constexpr std::uint32_t kMagic = 0x32534455u;
-  static constexpr std::uint32_t kVersion = 2;
+  /// v3: a trailing checksum; older versions are rejected by name.
+  static constexpr std::uint32_t kMagic = 0x33534455u;
+  static constexpr std::uint32_t kVersion = 3;
 
   /// Digest of grid expansion + result-affecting options (grid_fingerprint).
   std::uint64_t fingerprint = 0;
@@ -89,9 +98,10 @@ struct ShardFile {
 
 /// Parses and validates a shard image. `context` names the source (file
 /// path) in error messages. Throws std::runtime_error on a bad magic,
-/// unsupported version, truncation, trailing bytes, or any structurally
-/// invalid field (unknown enum value, unsorted/duplicate cells, inconsistent
-/// sketch state, range_begin > range_end, range beyond scenario_total).
+/// unsupported version, checksum mismatch, truncation, trailing bytes, or
+/// any structurally invalid field (unknown enum value, unsorted/duplicate
+/// cells, inconsistent sketch state, range_begin > range_end, range beyond
+/// scenario_total).
 [[nodiscard]] ShardFile decode_shard(std::string_view bytes,
                                      const std::string& context = {});
 

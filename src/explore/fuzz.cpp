@@ -143,20 +143,8 @@ ReplayOutcome drive_checked(sim::ExecutionState& sim, sim::Scheduler& scheduler,
   spec.problem = request.problem;
   spec.sim_options.record_events = true;
   spec.sim_options.max_actions = request.max_actions;
-  spec.sim_options.fault_non_fifo_links = request.fault_non_fifo;
-  spec.sim_options.fault_non_fifo_min_phase = request.fault_min_phase;
   spec.sim_options.faults = request.faults;
   return core::make_instance(request.algorithm, spec);
-}
-
-/// The request's full fault plan: the structured plan with the two legacy
-/// non-FIFO knobs merged in (the same merge the Instance ctor performs).
-[[nodiscard]] sim::FaultPlan merged_fault_plan(const RecordRequest& request) {
-  sim::FaultPlan plan = request.faults;
-  plan.non_fifo = plan.non_fifo || request.fault_non_fifo;
-  plan.non_fifo_min_phase =
-      std::max(plan.non_fifo_min_phase, request.fault_min_phase);
-  return plan;
 }
 
 }  // namespace
@@ -174,7 +162,8 @@ ScheduleTrace record_trace(const RecordRequest& request,
   trace.problem = request.problem;
   trace.generator = std::string(to_string(request.kind));
   trace.seed = request.seed;
-  trace.set_fault_plan(merged_fault_plan(request));
+  trace.faults = request.faults;
+  trace.faults.normalize();
   trace.max_actions = request.max_actions;
 
   const sim::Instance instance = build_instance(request);
@@ -196,18 +185,13 @@ ScheduleTrace record_trace(const RecordRequest& request,
 
 ScheduleTrace record_trace(core::Algorithm algorithm, std::size_t node_count,
                            std::vector<std::size_t> homes,
-                           ExploreSchedulerKind kind, std::uint64_t seed,
-                           bool fault_non_fifo, std::size_t fault_min_phase,
-                           std::size_t max_actions) {
+                           ExploreSchedulerKind kind, std::uint64_t seed) {
   RecordRequest request;
   request.algorithm = algorithm;
   request.node_count = node_count;
   request.homes = std::move(homes);
   request.kind = kind;
   request.seed = seed;
-  request.fault_non_fifo = fault_non_fifo;
-  request.fault_min_phase = fault_min_phase;
-  request.max_actions = max_actions;
   return record_trace(request);
 }
 
@@ -222,9 +206,7 @@ ReplayOutcome replay_trace(const ScheduleTrace& trace, std::size_t max_actions,
   request.problem = trace.problem;
   request.node_count = trace.node_count;
   request.homes = trace.homes;
-  request.fault_non_fifo = trace.fault_non_fifo;
-  request.fault_min_phase = trace.fault_min_phase;
-  request.faults = trace.fault_plan();
+  request.faults = trace.faults;
   // An explicit cap wins; otherwise the cap the trace was recorded under,
   // so cap-sensitive outcomes ("action limit reached") replay stand-alone.
   request.max_actions = max_actions != 0 ? max_actions : trace.max_actions;
@@ -259,8 +241,6 @@ FuzzIteration fuzz_iteration(const FuzzOptions& options,
   RecordRequest request;
   request.algorithm = options.algorithm;
   request.problem = options.problem;
-  request.fault_non_fifo = options.fault_non_fifo;
-  request.fault_min_phase = options.fault_min_phase;
   request.max_actions = options.max_actions;
   request.oracle = options.oracle;
   request.oracle_full_check_every = options.oracle_full_check_every;

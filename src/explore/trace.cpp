@@ -74,23 +74,6 @@ core::Algorithm algorithm_from_name(std::string_view name) {
                               std::string(name) + "'");
 }
 
-void ScheduleTrace::set_fault_plan(const sim::FaultPlan& plan) {
-  fault_non_fifo = plan.non_fifo;
-  fault_min_phase = plan.non_fifo_min_phase;
-  faults = plan;
-  faults.normalize();
-  faults.non_fifo = false;
-  faults.non_fifo_min_phase = 0;
-}
-
-sim::FaultPlan ScheduleTrace::fault_plan() const {
-  sim::FaultPlan plan = faults;
-  plan.non_fifo = fault_non_fifo;
-  plan.non_fifo_min_phase = fault_min_phase;
-  plan.normalize();
-  return plan;
-}
-
 std::string ScheduleTrace::to_text() const {
   std::ostringstream out;
   out << kMagic << " v" << kVersion << '\n';
@@ -108,16 +91,17 @@ std::string ScheduleTrace::to_text() const {
   }
   if (!generator.empty()) out << "generator " << generator << '\n';
   out << "seed " << seed << '\n';
-  if (fault_non_fifo) out << "fault-non-fifo 1\n";
-  if (fault_min_phase != 0) out << "fault-min-phase " << fault_min_phase << '\n';
-  // Structured fault keys, canonical order: alphabetical, lists normalized.
-  // Emission depends only on the plan's *content*, never on the order the
-  // producer filled it in, so re-recording a trace reproduces it byte-for-
-  // byte. The legacy non-FIFO flags above stay authoritative for the plain
-  // relaxation; `faults.non_fifo` mirrors them and is not re-emitted.
+  // Fault keys, canonical order: the non-FIFO pair first (the corpus's
+  // historical position), the rest alphabetical, lists normalized. Emission
+  // depends only on the plan's *content*, never on the order the producer
+  // filled it in, so re-recording a trace reproduces it byte-for-byte.
   {
     sim::FaultPlan canonical = faults;
     canonical.normalize();
+    if (canonical.non_fifo) out << "fault-non-fifo 1\n";
+    if (canonical.non_fifo_min_phase != 0) {
+      out << "fault-min-phase " << canonical.non_fifo_min_phase << '\n';
+    }
     if (!canonical.crashes.empty()) {
       out << "fault-crashes";
       for (const sim::CrashFault& crash : canonical.crashes) {
@@ -207,9 +191,10 @@ ScheduleTrace ScheduleTrace::parse(std::string_view text) {
     } else if (key == "seed") {
       trace.seed = parse_u64(fields, key);
     } else if (key == "fault-non-fifo") {
-      trace.fault_non_fifo = parse_u64(fields, key) != 0;
+      trace.faults.non_fifo = parse_u64(fields, key) != 0;
     } else if (key == "fault-min-phase") {
-      trace.fault_min_phase = static_cast<std::size_t>(parse_u64(fields, key));
+      trace.faults.non_fifo_min_phase =
+          static_cast<std::size_t>(parse_u64(fields, key));
     } else if (key == "fault-crashes") {
       std::string token;
       while (fields >> token) {

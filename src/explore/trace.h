@@ -14,6 +14,12 @@
 // artifacts, and tests/schedules/ keeps a regression corpus of them. The
 // recorded event-log digest makes replay self-checking: a replay that does
 // not reproduce the digest is flagged, not silently accepted.
+//
+// The `fault-*` keys are the text form of one sim::FaultPlan (the `faults`
+// member). `fault-non-fifo` and `fault-min-phase` parse into
+// FaultPlan::non_fifo / non_fifo_min_phase and are emitted first, in their
+// historical position, so every corpus trace — the pre-fault ones included —
+// parses and re-serializes byte-identically.
 
 #pragma once
 
@@ -49,15 +55,11 @@ struct ScheduleTrace {
   core::ProblemSpec problem;
   std::string generator;              ///< scheduler that produced it (informational)
   std::uint64_t seed = 0;             ///< generator seed (informational)
-  bool fault_non_fifo = false;        ///< replay with the non-FIFO fault injected
-  std::size_t fault_min_phase = 0;    ///< SimOptions::fault_non_fifo_min_phase
-  /// Structured fault schedule (sim/fault.h) the execution ran under. The
-  /// legacy two fields above stay authoritative for the plain non-FIFO
-  /// relaxation so the pre-fault corpus re-serializes byte-identically;
-  /// `faults` carries everything else (crashes, drops, dups, the non-FIFO
-  /// window bound, rewiring points). Rewiring *stride* draws are not stored
-  /// here — they interleave into `choices` via Scheduler::pick_index, which
-  /// is what makes a faulty trace shrink and replay like any other.
+  /// Fault schedule (sim/fault.h) the execution ran under — the test-only
+  /// non-FIFO relaxation included — handed to SimOptions::faults on replay.
+  /// Rewiring *stride* draws are not stored here — they interleave into
+  /// `choices` via Scheduler::pick_index, which is what makes a faulty trace
+  /// shrink and replay like any other.
   sim::FaultPlan faults;
   /// Per-run action cap the execution was recorded under; 0 = the
   /// simulator's auto limit. Serialized (when nonzero) so cap-sensitive
@@ -67,15 +69,6 @@ struct ScheduleTrace {
   std::vector<std::uint32_t> choices; ///< index into the sorted enabled set
   std::uint64_t expected_digest = 0;  ///< event-log digest the replay must match
   std::string note;                   ///< free text (e.g. the failure reason)
-
-  /// Installs a fault plan, splitting it canonically: the plain non-FIFO
-  /// relaxation goes to the legacy fault_non_fifo/fault_min_phase fields
-  /// (pinning the pre-fault corpus bytes), everything else to `faults`.
-  void set_fault_plan(const sim::FaultPlan& plan);
-
-  /// Reassembles the full plan from both representations — the one to hand
-  /// to SimOptions::faults when replaying.
-  [[nodiscard]] sim::FaultPlan fault_plan() const;
 
   /// Serializes to the versioned text format (ends with "end\n").
   [[nodiscard]] std::string to_text() const;

@@ -54,21 +54,8 @@ using VisitedMap = std::unordered_map<std::uint64_t, VisitedEntry>;
   spec.problem = request.problem;
   spec.sim_options.record_events = false;  // history is not state; stay lean
   spec.sim_options.max_actions = request.max_actions;
-  spec.sim_options.fault_non_fifo_links = request.fault_non_fifo;
-  spec.sim_options.fault_non_fifo_min_phase = request.fault_min_phase;
   spec.sim_options.faults = request.faults;
   return core::make_instance(request.algorithm, spec);
-}
-
-/// The request's full fault plan: the structured plan plus the legacy
-/// non-FIFO knobs (the Instance ctor's merge, reproduced for trace
-/// provenance).
-[[nodiscard]] sim::FaultPlan merged_fault_plan(const CheckRequest& request) {
-  sim::FaultPlan plan = request.faults;
-  plan.non_fifo = plan.non_fifo || request.fault_non_fifo;
-  plan.non_fifo_min_phase =
-      std::max(plan.non_fifo_min_phase, request.fault_min_phase);
-  return plan;
 }
 
 /// One stateless DFS (or BFS-expansion) engine over one pooled
@@ -650,7 +637,8 @@ class Explorer {
                        : std::string(request.topology.name());
   trace.problem = request.problem;
   trace.generator = "model-check";
-  trace.set_fault_plan(merged_fault_plan(request));
+  trace.faults = request.faults;
+  trace.faults.normalize();
   trace.max_actions = request.max_actions;  // cap-sensitive verdicts replay
   trace.choices = choices;
   const explore::ReplayOutcome outcome = explore::replay_trace(trace);
@@ -1001,8 +989,6 @@ GridReport check_grid(const exp::CampaignGrid& grid, const McOptions& options) {
     request.problem = s.problem;
     request.node_count = s.node_count;
     request.homes = cell.homes;
-    request.fault_non_fifo = grid.sim_options.fault_non_fifo_links;
-    request.fault_min_phase = grid.sim_options.fault_non_fifo_min_phase;
     request.faults = grid.sim_options.faults;
     request.max_actions = grid.sim_options.max_actions;
     cell.report = check(request, options);

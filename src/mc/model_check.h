@@ -143,19 +143,16 @@ struct CheckRequest {
   std::size_t node_count = 0;
   std::vector<std::size_t> homes;
   sim::Topology topology;
-  /// TEST-ONLY non-FIFO fault injection, as in SimOptions / ScheduleTrace.
-  bool fault_non_fifo = false;
-  std::size_t fault_min_phase = 0;
-  /// Structured fault schedule (sim/fault.h) every checked schedule runs
-  /// under: crash-stop faults, message drop/duplication, dynamic-ring
-  /// rewiring points. Rewiring points add *choice-tree levels*: at a pending
-  /// rewiring the node's branches are the candidate strides instead of
-  /// agents, so counterexample traces carry the adversary's rewiring choices
-  /// in `choices` and replay through the ordinary pick_index path. Plans
-  /// with events force the path-dependent prunings off (sleep sets, DPOR —
-  /// a crash is a global asymmetric event their independence relation does
-  /// not model); dedup stays sound because config_digest folds the live
-  /// fault state.
+  /// Fault schedule (sim/fault.h) every checked schedule runs under: the
+  /// test-only non-FIFO relaxation, crash-stop faults, message
+  /// drop/duplication, dynamic-ring rewiring points. Rewiring points add
+  /// *choice-tree levels*: at a pending rewiring the node's branches are the
+  /// candidate strides instead of agents, so counterexample traces carry the
+  /// adversary's rewiring choices in `choices` and replay through the
+  /// ordinary pick_index path. Plans with events force the path-dependent
+  /// prunings off (sleep sets, DPOR — a crash is a global asymmetric event
+  /// their independence relation does not model); dedup stays sound because
+  /// config_digest folds the live fault state.
   sim::FaultPlan faults;
   /// Per-schedule action cap; 0 = the simulator's auto limit. Hitting it on
   /// any branch is a violation (livelock or broken algorithm), like the

@@ -153,14 +153,6 @@ CheckResult UniformDeploymentOracle::check_goal(const Simulator& sim) const {
   return check_positions_uniform(live_staying_nodes(sim), sim.node_count());
 }
 
-CheckResult check_uniform_deployment_with_termination(const Simulator& sim) {
-  return UniformDeploymentOracle(true).check_goal(sim);
-}
-
-CheckResult check_uniform_deployment_without_termination(const Simulator& sim) {
-  return UniformDeploymentOracle(false).check_goal(sim);
-}
-
 CheckResult check_model_invariants(const Simulator& sim,
                                    std::size_t min_expected_tokens) {
   return invariants::check(sim, min_expected_tokens);

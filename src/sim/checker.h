@@ -52,28 +52,6 @@ struct CheckResult {
 [[nodiscard]] CheckResult check_positions_uniform(std::vector<std::size_t> positions,
                                                   std::size_t node_count);
 
-/// Definition 1: every agent is in the halt state, all link queues are
-/// empty, and the staying positions form a uniform deployment.
-///
-/// DEPRECATED: thin wrapper over UniformDeploymentOracle(true), kept only so
-/// the wrapper ≡ oracle equivalence test still compiles. New code should
-/// obtain an oracle via core::make_goal_oracle (or construct
-/// UniformDeploymentOracle directly) and call check_goal(); with -Werror in
-/// CI, any new in-tree use of the wrapper fails the build.
-[[nodiscard]] [[deprecated(
-    "use UniformDeploymentOracle(true).check_goal() / core::make_goal_oracle")]]
-CheckResult check_uniform_deployment_with_termination(const Simulator& sim);
-
-/// Definition 2: every agent is in the suspended state, all mailboxes and
-/// link queues are empty, and the staying positions form a uniform
-/// deployment.
-///
-/// DEPRECATED: thin wrapper over UniformDeploymentOracle(false); see
-/// check_uniform_deployment_with_termination.
-[[nodiscard]] [[deprecated(
-    "use UniformDeploymentOracle(false).check_goal() / core::make_goal_oracle")]]
-CheckResult check_uniform_deployment_without_termination(const Simulator& sim);
-
 /// Model invariants that must hold in *any* reachable configuration: the
 /// total token count is at least `min_expected_tokens` (tokens are
 /// indelible; callers pass the previous count), every queue member is in

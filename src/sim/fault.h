@@ -16,12 +16,11 @@
 //    staying agent remains a visible corpse in p_i. Crashed agents are never
 //    enabled, never receive broadcasts, and never act again.
 //
-//  - Link faults, generalizing the historical test-only non-FIFO bool pair:
-//    a non-FIFO overtaking window (phase-gated as before, plus an optional
-//    action-count upper bound), bounded broadcast *drops* (the next
-//    `drop_count` deliverable broadcasts at/after `drop_from_action` vanish)
-//    and bounded broadcast *duplications* (delivered twice — the classic
-//    at-least-once substrate).
+//  - Link faults: a test-only non-FIFO overtaking window (phase-gated,
+//    plus an optional action-count upper bound), bounded broadcast *drops*
+//    (the next `drop_count` deliverable broadcasts at/after
+//    `drop_from_action` vanish) and bounded broadcast *duplications*
+//    (delivered twice — the classic at-least-once substrate).
 //
 //  - Dynamic-ring rewiring (1-interval connectivity): at each action index
 //    in `rewire_at` the successor map is scheduled to change; the *choice*
@@ -71,14 +70,31 @@ struct FaultPlan {
   /// At most one per agent (validate() rejects duplicates).
   std::vector<CrashFault> crashes;
 
-  /// Non-FIFO overtaking fault (the generalized form of the historical
-  /// SimOptions bool pair; Instance normalizes the legacy fields into
-  /// these). See SimOptions::fault_non_fifo_links for the exact semantics.
+  /// TEST-ONLY non-FIFO overtaking fault: weakens the FIFO link guarantee
+  /// of §2.1. When set, an in-transit agent may arrive from *any* queue
+  /// position — overtaking agents ahead of it — as long as it does not pass
+  /// an agent still in its initial transit (that restriction preserves the
+  /// §2.1 home-node-first rule, which every algorithm legitimately relies
+  /// on; the FIFO non-overtaking property is the only guarantee removed).
+  /// The scheduler decides who jumps: all such agents join the enabled set.
+  /// This models a substrate without FIFO links and exists so the schedule
+  /// explorer can demonstrate that KnownKLogMemStrict's correctness —
+  /// unlike the hardened default — leans on FIFO order (see
+  /// known_k_logmem.h). Never set it in experiments that reproduce the
+  /// paper's model.
   bool non_fifo = false;
+  /// Narrows the overtaking window: overtaking is permitted only when the
+  /// jumper and every agent it passes have reached this phase tag (metrics
+  /// phase, see AgentContext::set_phase). Phases are how multi-phase
+  /// algorithms announce their progress, so this seeds a non-FIFO bug into
+  /// one phase without corrupting the phases before it — e.g. phase 1
+  /// targets Algorithm 3's deployment race while Algorithm 2's
+  /// selection-phase geometry measurements (which also assume
+  /// non-overtaking, for every variant) stay sound. 0 = live from the first
+  /// action.
   std::size_t non_fifo_min_phase = 0;
   /// Upper bound of the overtaking window: overtaking is permitted only
-  /// while the action counter is < this value. 0 = unbounded (the legacy
-  /// behaviour).
+  /// while the action counter is < this value. 0 = unbounded.
   std::size_t non_fifo_until_action = 0;
 
   /// Broadcast drops: the next `drop_count` broadcasts with at least one
@@ -111,7 +127,7 @@ struct FaultPlan {
   /// True when the plan carries *event* faults — anything the execution
   /// loop's fault cursor must watch (crashes, rewirings, drops, dups).
   /// The non-FIFO window is not an event: it is a standing relaxation of
-  /// the enabling rule, handled by the historical Fault template path.
+  /// the enabling rule, handled by the engine's Fault template path.
   [[nodiscard]] bool has_events() const noexcept {
     return !crashes.empty() || !rewire_at.empty() || drop_count > 0 ||
            dup_count > 0;

@@ -49,17 +49,6 @@ Instance::Instance(Topology topology, std::vector<NodeId> homes,
       }
     }
   }
-  // Fault-plan normalization: the legacy non-FIFO bool pair and the
-  // structured plan are one fault model. Merge the deprecated fields into
-  // the plan, mirror the resolved values back (hot-path enabling logic and
-  // historical callers read the legacy fields), then validate the whole
-  // plan against this instance's dimensions. After construction the two
-  // views agree by construction.
-  if (options_.fault_non_fifo_links) options_.faults.non_fifo = true;
-  options_.faults.non_fifo_min_phase = std::max(
-      options_.faults.non_fifo_min_phase, options_.fault_non_fifo_min_phase);
-  options_.fault_non_fifo_links = options_.faults.non_fifo;
-  options_.fault_non_fifo_min_phase = options_.faults.non_fifo_min_phase;
   options_.faults.normalize();
   options_.faults.validate(topology_.size(), homes_.size());
   if (options_.max_actions == 0) {

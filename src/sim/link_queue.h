@@ -54,8 +54,8 @@ class LinkQueue {
   }
 
   /// Removes `id` from anywhere in the queue. Only the non-FIFO fault
-  /// injection (SimOptions::fault_non_fifo_links) takes this path; regular
-  /// executions always pop the head.
+  /// injection (FaultPlan::non_fifo) takes this path; regular executions
+  /// always pop the head.
   bool remove(AgentId id) {
     for (std::size_t i = head_; i < buffer_.size(); ++i) {
       if (buffer_[i] != id) continue;

@@ -296,7 +296,7 @@ TEST(InvariantFastPath, MatchesWalkUnderNonFifoQueueJumping) {
   std::size_t behind_head = 0;  // states where a non-head agent may arrive
   for (int trial = 0; trial < 10; ++trial) {
     SimOptions options;
-    options.fault_non_fifo_links = true;
+    options.faults.non_fifo = true;
     auto sim = random_run(core::Algorithm::KnownKLogMemStrict, rng, options);
     RandomScheduler scheduler(rng());
     ASSERT_NO_FATAL_FAILURE(
@@ -383,9 +383,7 @@ TEST(InvariantFastPath, MatchesWalkAlongEveryCorpusTrace) {
     spec.problem = trace.problem;
     spec.sim_options.record_events = true;
     spec.sim_options.max_actions = trace.max_actions;
-    spec.sim_options.fault_non_fifo_links = trace.fault_non_fifo;
-    spec.sim_options.fault_non_fifo_min_phase = trace.fault_min_phase;
-    spec.sim_options.faults = trace.fault_plan();
+    spec.sim_options.faults = trace.faults;
     auto sim = core::make_simulator(trace.algorithm, spec);
     explore::ReplayScheduler replayer(trace.choices);
     ASSERT_NO_FATAL_FAILURE(step_matching_walk(*sim, replayer)) << file;

@@ -4,8 +4,8 @@
 // The centerpiece is the seeded-bug experiment the PR's acceptance criterion
 // asks for: KnownKLogMemStrict follows Algorithm 3 literally and its
 // correctness leans on the FIFO non-overtaking property (known_k_logmem.h).
-// With the test-only non-FIFO fault injected (SimOptions::fault_non_fifo_
-// links), the fuzzer must find a violating schedule within a smoke-sized
+// With the test-only non-FIFO fault injected (sim::FaultPlan::non_fifo),
+// the fuzzer must find a violating schedule within a smoke-sized
 // budget and the shrinker must reduce it to a small replayable trace — while
 // the hardened default variant survives the identical adversary, which is
 // exactly the FIFO-dependence ablation the algorithm's documentation claims.
@@ -38,8 +38,8 @@ namespace {
 FuzzOptions strict_fifo_bug_options() {
   FuzzOptions options;
   options.algorithm = core::Algorithm::KnownKLogMemStrict;
-  options.fault_non_fifo = true;
-  options.fault_min_phase = core::KnownKLogMemAgent::kDeployment;
+  options.faults.non_fifo = true;
+  options.faults.non_fifo_min_phase = core::KnownKLogMemAgent::kDeployment;
   options.fixed_nodes = gen::kLogmemStressNodes;
   options.fixed_homes = gen::logmem_stress_homes();
   options.schedulers = {ExploreSchedulerKind::LinkDelay,
@@ -172,7 +172,7 @@ TEST(NonFifoFault, UnwindowedFaultBreaksSelectionForEveryVariant) {
   // misbehave, which is what forces the phase-windowed injection when
   // seeding a *deployment* bug.
   FuzzOptions options = strict_fifo_bug_options();
-  options.fault_min_phase = 0;  // unwindowed
+  options.faults.non_fifo_min_phase = 0;  // unwindowed
   options.fixed_homes.clear();  // random instances; the effect is generic
   options.fixed_nodes = 0;
   options.min_nodes = 8;
@@ -193,7 +193,7 @@ TEST(NonFifoFault, FaultDisabledMeansNoOvertaking) {
   // Without the fault flag the same fuzz pool finds nothing: the strict
   // variant is correct on a FIFO substrate (the paper's model).
   FuzzOptions options = strict_fifo_bug_options();
-  options.fault_non_fifo = false;
+  options.faults.non_fifo = false;
   const FuzzReport report = run_fuzz(options);
   EXPECT_EQ(report.failures, 0u)
       << (report.failure_samples.empty()

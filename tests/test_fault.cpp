@@ -3,11 +3,10 @@
 //  - FaultPlan mechanics: normalize/validate/label/fold, and the stride-ring
 //    rewiring candidate geometry (φ(n) candidates, ascending coprime strides,
 //    the single-cycle revalidation predicate).
-//  - The legacy SimOptions non-FIFO bool pair and the structured plan are the
-//    same fault: recording under either produces byte-identical traces.
 //  - Canonical trace emission: every corpus file re-serializes to its exact
-//    bytes, and the fault keys emit in one sorted order regardless of how the
-//    trace object was populated.
+//    bytes (the pre-fault `fault-non-fifo` / `fault-min-phase` keys
+//    included), and the fault keys emit in one canonical order regardless of
+//    how the trace object was populated.
 //  - Replay determinism of faulty executions: fuzz digests under crash and
 //    rewiring budgets are worker-count invariant, and every faulty failure
 //    sample survives text round-trip with an identical replay.
@@ -157,41 +156,6 @@ TEST(RewireGeometry, SingleCyclePredicateIsExactlyCoprimality) {
   }
 }
 
-// ---- legacy knob equivalence ------------------------------------------------
-
-TEST(LegacyFaultKnobs, BoolPairAndStructuredPlanRecordIdentically) {
-  // The deprecated SimOptions::fault_non_fifo_links pair is a thin wrapper
-  // over FaultPlan::non_fifo; an execution recorded under either spelling
-  // must produce the SAME trace, byte for byte — including the legacy
-  // serialization (fault-non-fifo / fault-min-phase keys), which pins the
-  // pre-fault-layer corpus format.
-  explore::RecordRequest legacy;
-  legacy.algorithm = core::Algorithm::KnownKLogMemStrict;
-  legacy.node_count = 10;
-  legacy.homes = {0, 2, 5};
-  legacy.kind = explore::ExploreSchedulerKind::FifoStress;
-  legacy.seed = 3;
-  legacy.fault_non_fifo = true;
-  legacy.fault_min_phase = 1;
-
-  explore::RecordRequest structured = legacy;
-  structured.fault_non_fifo = false;
-  structured.fault_min_phase = 0;
-  structured.faults.non_fifo = true;
-  structured.faults.non_fifo_min_phase = 1;
-
-  const explore::ScheduleTrace a = explore::record_trace(legacy);
-  const explore::ScheduleTrace b = explore::record_trace(structured);
-  EXPECT_EQ(a.expected_digest, b.expected_digest);
-  EXPECT_EQ(a.choices, b.choices);
-  EXPECT_EQ(a.to_text(), b.to_text());
-  // Canonical split: the plain relaxation lives in the legacy fields only.
-  EXPECT_TRUE(b.fault_non_fifo);
-  EXPECT_EQ(b.fault_min_phase, 1u);
-  EXPECT_FALSE(b.faults.non_fifo);
-  EXPECT_EQ(b.faults.non_fifo_min_phase, 0u);
-}
-
 // ---- canonical trace emission -----------------------------------------------
 
 std::vector<std::filesystem::path> corpus_files() {
@@ -238,28 +202,32 @@ TEST(CanonicalEmission, FaultKeysEmitIdenticallyFromAnyInsertionPath) {
   plan.rewire_at = {9, 3};
   plan.drop_count = 1;
 
-  // Path 1: the canonical installer.
-  explore::ScheduleTrace via_installer = base;
-  via_installer.set_fault_plan(plan);
+  // Path 1: the whole plan at once.
+  explore::ScheduleTrace via_plan = base;
+  via_plan.faults = plan;
 
-  // Path 2: raw field assignment, legacy pair last, lists left unsorted.
+  // Path 2: field by field, non-FIFO pair last, lists left unsorted.
   explore::ScheduleTrace via_fields = base;
   via_fields.faults.rewire_at = {9, 3};
   via_fields.faults.drop_count = 1;
   via_fields.faults.crashes = {{1, 5}, {0, 2}};
   via_fields.faults.non_fifo_until_action = 6;
-  via_fields.fault_non_fifo = true;
-  via_fields.fault_min_phase = 1;
+  via_fields.faults.non_fifo = true;
+  via_fields.faults.non_fifo_min_phase = 1;
 
-  EXPECT_EQ(via_installer.to_text(), via_fields.to_text());
+  EXPECT_EQ(via_plan.to_text(), via_fields.to_text());
+  // The non-FIFO pair keeps its historical keys, ahead of the others.
+  EXPECT_NE(via_plan.to_text().find("fault-non-fifo 1\nfault-min-phase 1\n"
+                                    "fault-crashes"),
+            std::string::npos);
 
-  // And the emitted form round-trips to the same merged plan, normalized.
+  // And the emitted form round-trips to the same plan, normalized.
   const explore::ScheduleTrace reparsed =
-      explore::ScheduleTrace::parse(via_installer.to_text());
+      explore::ScheduleTrace::parse(via_plan.to_text());
   sim::FaultPlan expected = plan;
   expected.normalize();
-  EXPECT_EQ(reparsed.fault_plan(), expected);
-  EXPECT_EQ(reparsed.to_text(), via_installer.to_text());
+  EXPECT_EQ(reparsed.faults, expected);
+  EXPECT_EQ(reparsed.to_text(), via_plan.to_text());
 }
 
 // ---- replay determinism of faulty executions --------------------------------
@@ -300,7 +268,7 @@ TEST(FaultyReplayDeterminism, EveryFaultySampleSurvivesTextRoundTrip) {
     SCOPED_TRACE("iteration " + std::to_string(failure.iteration));
     const explore::ScheduleTrace reparsed =
         explore::ScheduleTrace::parse(failure.trace.to_text());
-    EXPECT_EQ(reparsed.fault_plan(), failure.trace.fault_plan());
+    EXPECT_EQ(reparsed.faults, failure.trace.faults);
     const explore::ReplayOutcome once = explore::replay_trace(reparsed);
     const explore::ReplayOutcome twice = explore::replay_trace(reparsed);
     EXPECT_EQ(once.digest, failure.trace.expected_digest);
@@ -333,11 +301,11 @@ TEST(FaultPipeline, CrashViolationIsFoundShrunkReplayedAndRediscoveredByMc) {
   ASSERT_GT(faulty.failures, 0u);
   ASSERT_FALSE(faulty.failure_samples.empty());
   const explore::ScheduleTrace& found = faulty.failure_samples.front().trace;
-  ASSERT_TRUE(found.fault_plan().has_crashes());
+  ASSERT_TRUE(found.faults.has_crashes());
 
   const explore::ShrinkResult shrunk = explore::shrink_trace(found);
   EXPECT_LE(shrunk.trace.choices.size(), found.choices.size());
-  EXPECT_TRUE(shrunk.trace.fault_plan().has_crashes())
+  EXPECT_TRUE(shrunk.trace.faults.has_crashes())
       << "shrinking must not lose the fault that makes the trace fail";
 
   // The serialized artifact is self-contained: parse + replay reproduces
@@ -357,7 +325,7 @@ TEST(FaultPipeline, CrashViolationIsFoundShrunkReplayedAndRediscoveredByMc) {
   request.problem = reparsed.problem;
   request.node_count = reparsed.node_count;
   request.homes = reparsed.homes;
-  request.faults = reparsed.fault_plan();
+  request.faults = reparsed.faults;
   request.max_actions = reparsed.max_actions;
   const mc::ModelCheckReport first = mc::check(request);
   EXPECT_FALSE(first.ok);
@@ -391,7 +359,7 @@ TEST(McFaultBudget, CleanPlanVerifiesAndCrashBudgetFindsViolation) {
   EXPECT_EQ(faulty.verdict, "violation");
   ASSERT_TRUE(faulty.counterexample.has_value());
   // The counterexample carries its plan and replays stand-alone.
-  EXPECT_TRUE(faulty.counterexample->fault_plan().has_crashes());
+  EXPECT_TRUE(faulty.counterexample->faults.has_crashes());
   const explore::ReplayOutcome replayed =
       explore::replay_trace(*faulty.counterexample);
   EXPECT_TRUE(replayed.failed);

@@ -36,11 +36,25 @@
 
 #include "config/generators.h"
 #include "core/runner.h"
+#include "core/unknown_relaxed.h"
 #include "embed/topology.h"
 #include "explore/fuzz.h"
 #include "mc/model_check.h"
 #include "support/test_agents.h"
 #include "util/rng.h"
+
+namespace udring::core {
+
+struct UnknownRelaxedTestPeer {
+  static std::size_t& first_n_est(UnknownRelaxedAgent& agent) {
+    return agent.first_n_est_;
+  }
+  static std::size_t& corrections(UnknownRelaxedAgent& agent) {
+    return agent.corrections_;
+  }
+};
+
+}  // namespace udring::core
 
 namespace udring::mc {
 namespace {
@@ -211,6 +225,32 @@ TEST(ConfigDigest, ChangesWithTheLiveFaultState) {
             digest_after(with_plan(crash_later), {0}));
 }
 
+TEST(ConfigDigest, ChangesWithUnknownRelaxedInstrumentation) {
+  // corrections_ decides whether a patroller broadcasts, so two states that
+  // differ only in it (or in first_n_est_) must never dedup together.
+  using Peer = core::UnknownRelaxedTestPeer;
+  core::RunSpec spec;
+  spec.node_count = 8;
+  spec.homes = {0, 3};
+  const auto digest_with = [&](void (*mutate)(core::UnknownRelaxedAgent&)) {
+    auto sim = core::make_simulator(core::Algorithm::UnknownRelaxed, spec);
+    // The state owns its programs; this is a write to a non-const object.
+    mutate(const_cast<core::UnknownRelaxedAgent&>(
+        dynamic_cast<const core::UnknownRelaxedAgent&>(sim->program(0))));
+    return sim->config_digest();
+  };
+  const std::uint64_t base = digest_with([](core::UnknownRelaxedAgent&) {});
+  EXPECT_EQ(digest_with([](core::UnknownRelaxedAgent&) {}), base);
+  EXPECT_NE(digest_with([](core::UnknownRelaxedAgent& agent) {
+              ++Peer::corrections(agent);
+            }),
+            base);
+  EXPECT_NE(digest_with([](core::UnknownRelaxedAgent& agent) {
+              ++Peer::first_n_est(agent);
+            }),
+            base);
+}
+
 TEST(ConfigDigest, DistinguishesSuccessiveConfigurations) {
   core::RunSpec spec;
   spec.node_count = 8;
@@ -329,8 +369,8 @@ INSTANTIATE_TEST_SUITE_P(SmallGrids, ExhaustiveAlgorithms,
 [[nodiscard]] CheckRequest stress_fault_request(core::Algorithm algorithm) {
   CheckRequest request = ring_request(algorithm, gen::kLogmemStressNodes,
                                       gen::logmem_stress_homes());
-  request.fault_non_fifo = true;
-  request.fault_min_phase = 1;  // deployment-phase window (see SimOptions)
+  request.faults.non_fifo = true;
+  request.faults.non_fifo_min_phase = 1;  // deployment-phase window
   return request;
 }
 
@@ -637,8 +677,8 @@ TEST(GridIntegration, CellVerdictMatchesDirectCheck) {
   grid.algorithms = {core::Algorithm::KnownKLogMemStrict};
   grid.instances = {{gen::kLogmemStressNodes, 6}};
   grid.seeds = 2;
-  grid.sim_options.fault_non_fifo_links = true;
-  grid.sim_options.fault_non_fifo_min_phase = 1;
+  grid.sim_options.faults.non_fifo = true;
+  grid.sim_options.faults.non_fifo_min_phase = 1;
   McOptions options;
   options.budget_actions = 100000;
   const GridReport report = check_grid(grid, options);
@@ -648,8 +688,7 @@ TEST(GridIntegration, CellVerdictMatchesDirectCheck) {
     request.algorithm = cell.algorithm;
     request.node_count = cell.node_count;
     request.homes = cell.homes;
-    request.fault_non_fifo = true;
-    request.fault_min_phase = 1;
+    request.faults = grid.sim_options.faults;
     const ModelCheckReport direct = check(request, options);
     EXPECT_EQ(direct.verdict, cell.report.verdict);
     EXPECT_EQ(direct.failure_reason, cell.report.failure_reason);

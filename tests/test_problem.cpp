@@ -2,8 +2,6 @@
 //
 //  - ProblemSpec naming, parsing, and resolve_problem() semantics (Auto →
 //    the algorithm's natural problem; parameter normalization).
-//  - The deprecated check_uniform_deployment_* wrappers agree byte-for-byte
-//    with the oracles they now delegate to.
 //  - The goal predicates accept correct final configurations and reject
 //    near misses with pinned reason strings (gtest messages and the
 //    shrinker's prefix classes both depend on the exact wording).
@@ -117,7 +115,7 @@ TEST(ProblemSpec, OracleNamesMatchTheResolvedProblem) {
             "dispersion");
 }
 
-// ---- deprecated wrappers delegate to the oracles ----------------------------
+// ---- goal oracles -----------------------------------------------------------
 
 /// Runs `algorithm` on (n, homes) under a synchronous scheduler and returns
 /// the quiesced simulator for direct oracle inspection.
@@ -135,31 +133,6 @@ std::unique_ptr<sim::Simulator> run_to_quiescence(
   (void)sim->run(*scheduler);
   return sim;
 }
-
-// This test is the one sanctioned caller of the deprecated wrappers: it
-// exists precisely to pin wrapper ≡ oracle until the wrappers are removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(GoalOracle, DeprecatedWrappersMatchTheOracle) {
-  const auto sim = run_to_quiescence(core::Algorithm::KnownKFull, 12, {0, 5, 9});
-  const sim::CheckResult wrapper =
-      sim::check_uniform_deployment_with_termination(*sim);
-  const sim::CheckResult oracle =
-      sim::UniformDeploymentOracle(true).check_goal(*sim);
-  EXPECT_EQ(wrapper.ok, oracle.ok);
-  EXPECT_EQ(wrapper.reason, oracle.reason);
-  EXPECT_TRUE(oracle.ok) << oracle.reason;
-
-  const auto relaxed =
-      run_to_quiescence(core::Algorithm::UnknownRelaxed, 12, {0, 5, 9});
-  const sim::CheckResult relaxed_wrapper =
-      sim::check_uniform_deployment_without_termination(*relaxed);
-  const sim::CheckResult relaxed_oracle =
-      sim::UniformDeploymentOracle(false).check_goal(*relaxed);
-  EXPECT_EQ(relaxed_wrapper.ok, relaxed_oracle.ok);
-  EXPECT_EQ(relaxed_wrapper.reason, relaxed_oracle.reason);
-}
-#pragma GCC diagnostic pop
 
 TEST(GoalOracle, CheckActionDefaultsToTheModelInvariants) {
   const auto sim = run_to_quiescence(core::Algorithm::KnownKFull, 8, {0, 3});

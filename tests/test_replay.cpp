@@ -81,7 +81,7 @@ TEST_P(RoundTrip, TraceSurvivesTextSerialization) {
   EXPECT_EQ(reparsed.choices, trace.choices);
   EXPECT_EQ(reparsed.expected_digest, trace.expected_digest);
   EXPECT_EQ(reparsed.generator, trace.generator);
-  EXPECT_EQ(reparsed.fault_non_fifo, trace.fault_non_fifo);
+  EXPECT_EQ(reparsed.faults, trace.faults);
 
   const ReplayOutcome replayed = replay_trace(reparsed);
   EXPECT_EQ(replayed.digest, trace.expected_digest);

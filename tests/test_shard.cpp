@@ -3,7 +3,8 @@
 //
 // The claims pinned here extend the engine's determinism contract across
 // process and crash boundaries:
-//  - load(encode(shard)) is the identity, and corrupt bytes fail loudly;
+//  - load(encode(shard)) is the identity, and corrupt bytes fail loudly —
+//    every single-bit flip and every truncation of a real shard included;
 //  - N shards merged == the single uninterrupted run, byte for byte
 //    (digest AND summary), at worker counts {1, 4};
 //  - kill-and-resume at ANY checkpoint watermark reproduces the
@@ -180,6 +181,69 @@ TEST(ShardFile, DecodeRejectsCorruptBytes) {
                std::runtime_error);
 }
 
+/// Decodes `bytes` expecting a std::runtime_error that names `context`.
+::testing::AssertionResult rejected_by_name(std::string_view bytes,
+                                            const std::string& context) {
+  try {
+    static_cast<void>(decode_shard(bytes, context));
+  } catch (const std::runtime_error& error) {
+    if (std::string(error.what()).find(context) != std::string::npos) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+           << context << ": error does not name its source: " << error.what();
+  }
+  return ::testing::AssertionFailure() << context << ": accepted";
+}
+
+TEST(ShardFile, EverySingleBitFlipAndEveryTruncationIsRejected) {
+  // The trailing checksum makes decode reject every one-bit corruption of
+  // a real shard, header and checksum included, and every torn prefix —
+  // each with an error naming the file, never a silently different sweep.
+  CampaignGrid grid = small_grid();
+  grid.node_counts = {16};
+  grid.seeds = 2;
+  const std::string bytes =
+      encode_shard(run_campaign_shard(grid, {.workers = 1}, 0, 2));
+  std::size_t accepted = 0;
+  for (std::size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
+    std::string flipped = bytes;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1u << (bit % 8)));
+    const auto verdict =
+        rejected_by_name(flipped, "flip-" + std::to_string(bit));
+    if (!verdict) {
+      ++accepted;
+      ADD_FAILURE() << verdict.message();
+    }
+  }
+  for (std::size_t length = 0; length < bytes.size(); ++length) {
+    const auto verdict = rejected_by_name(
+        std::string_view(bytes).substr(0, length),
+        "cut-" + std::to_string(length));
+    if (!verdict) {
+      ++accepted;
+      ADD_FAILURE() << verdict.message();
+    }
+  }
+  EXPECT_EQ(accepted, 0u);
+  EXPECT_NO_THROW(static_cast<void>(decode_shard(bytes, "intact")));
+}
+
+TEST(ShardFile, RejectsTheOlderVersionByName) {
+  // A UDS2 image: magic "UDS2", version 2, no checksum.
+  std::string old_file = "UDS2";
+  old_file += std::string("\x02\x00\x00\x00", 4);
+  old_file += std::string(96, '\0');
+  try {
+    static_cast<void>(decode_shard(old_file, "old.bin"));
+    FAIL() << "a UDS2 file decoded";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("unsupported shard version 2"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(ShardFile, WriteAndLoadFile) {
   const std::string path = temp_path("shard_io.bin");
   const ShardFile shard =
@@ -336,6 +400,14 @@ TEST(GridFingerprint, CoversResultsNotExecutionKnobs) {
   recapped.max_failures_per_cell += 1;
   EXPECT_NE(grid_fingerprint(grid, recapped), base)
       << "sample caps change merged bytes, so they are in the fingerprint";
+
+  CampaignGrid non_fifo = grid;
+  non_fifo.sim_options.faults.non_fifo = true;
+  const std::uint64_t with_non_fifo = grid_fingerprint(non_fifo, options);
+  EXPECT_NE(with_non_fifo, base) << "the non-FIFO fault changes results";
+  non_fifo.sim_options.faults.non_fifo_min_phase = 1;
+  EXPECT_NE(grid_fingerprint(non_fifo, options), with_non_fifo)
+      << "so does its phase window";
 }
 
 // ---- checkpoint / crash-resume ----------------------------------------------

@@ -4,7 +4,8 @@
 //
 //   udring_fuzz                              # fuzz (budget from UDRING_FUZZ_BUDGET)
 //   udring_fuzz --algorithm=known-k-logmem-strict --inject-non-fifo
-//               --iterations=500 --out=fuzz-artifacts
+//               --fault-min-phase=1 --nodes=12 --homes=0,1,3,6,7,10
+//               --out=fuzz-artifacts             # rediscover the race
 //   udring_fuzz --topology=tree --iterations=300     # fuzz on Euler-tour rings
 //   udring_fuzz --record=trace.txt --algorithm=known-k-full --nodes=16
 //               --agents=4 --sched=fifo-stress --seed=7
@@ -68,15 +69,14 @@ int record_mode(const std::string& path, core::Algorithm algorithm,
                 core::ProblemSpec problem, explore::FuzzTopology topology,
                 std::size_t n, std::size_t k,
                 explore::ExploreSchedulerKind kind, std::uint64_t seed,
-                bool fault, std::size_t fault_min_phase) {
+                const sim::FaultPlan& faults) {
   Rng rng(seed);
   explore::RecordRequest request;
   request.algorithm = algorithm;
   request.problem = problem;
   request.kind = kind;
   request.seed = seed;
-  request.fault_non_fifo = fault;
-  request.fault_min_phase = fault_min_phase;
+  request.faults = faults;
   // --nodes sizes the underlying network for tree/graph; the recorded
   // instance is its Euler-tour virtual ring, so the trace replays
   // stand-alone.
@@ -212,11 +212,13 @@ int main(int argc, char** argv) {
         "incremental oracle: full walk every N actions (0 = never)");
     options.max_recorded_failures =
         cli.get_size("max-failures", 8, "failing traces to keep and shrink");
-    options.fault_non_fifo = cli.get_flag(
-        "inject-non-fifo", "TEST-ONLY: weaken the FIFO link guarantee");
-    options.fault_min_phase = cli.get_size(
+    options.faults.non_fifo = cli.get_flag(
+        "inject-non-fifo",
+        "TEST-ONLY: weaken the FIFO link guarantee (FaultPlan::non_fifo)");
+    options.faults.non_fifo_min_phase = cli.get_size(
         "fault-min-phase", 0,
-        "restrict the non-FIFO fault to actions at/after this phase tag");
+        "with --inject-non-fifo: allow overtaking only at/after this phase "
+        "tag (FaultPlan::non_fifo_min_phase)");
     const std::string faults_spec =
         cli.get("faults",
                 "per-iteration fault budgets, comma list of crash=N and "
@@ -278,8 +280,7 @@ int main(int argc, char** argv) {
                          options.topology, n, k,
                          explore::explore_scheduler_from_name(
                              sched_name.empty() ? "round-robin" : sched_name),
-                         options.base_seed, options.fault_non_fifo,
-                         options.fault_min_phase);
+                         options.base_seed, options.faults);
     }
     if (!sched_name.empty()) {
       options.schedulers = {explore::explore_scheduler_from_name(sched_name)};

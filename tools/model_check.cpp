@@ -115,11 +115,14 @@ int main(int argc, char** argv) {
     const std::size_t shared_capacity = cli.get_size(
         "shared-visited-capacity", 0,
         "slot count for --shared-visited (0 = auto, 2^22)");
-    const bool fault = cli.get_flag(
-        "inject-non-fifo", "TEST-ONLY: weaken the FIFO link guarantee");
-    const std::size_t fault_min_phase = cli.get_size(
+    sim::FaultPlan non_fifo;
+    non_fifo.non_fifo = cli.get_flag(
+        "inject-non-fifo",
+        "TEST-ONLY: weaken the FIFO link guarantee (FaultPlan::non_fifo)");
+    non_fifo.non_fifo_min_phase = cli.get_size(
         "fault-min-phase", 0,
-        "restrict the non-FIFO fault to actions at/after this phase tag");
+        "with --inject-non-fifo: allow overtaking only at/after this phase "
+        "tag (FaultPlan::non_fifo_min_phase)");
     const std::string fault_budget_spec =
         cli.get("fault-budget",
                 "enumerate bounded fault plans on top of every schedule: "
@@ -213,8 +216,7 @@ int main(int argc, char** argv) {
       grid.agent_counts = {k};
       grid.seeds = seeds;
       grid.base_seed = seed;
-      grid.sim_options.fault_non_fifo_links = fault;
-      grid.sim_options.fault_non_fifo_min_phase = fault_min_phase;
+      grid.sim_options.faults = non_fifo;
       grid.sim_options.max_actions = max_actions;
       const mc::GridReport report = mc::check_grid(grid, options);
       std::cout << report.summary();
@@ -236,8 +238,7 @@ int main(int argc, char** argv) {
     mc::CheckRequest request;
     request.algorithm = algorithm;
     request.problem = problem;
-    request.fault_non_fifo = fault;
-    request.fault_min_phase = fault_min_phase;
+    request.faults = non_fifo;
     request.max_actions = max_actions;
     if (!homes_csv.empty()) {
       if (topology != explore::FuzzTopology::Ring) {
@@ -265,7 +266,7 @@ int main(int argc, char** argv) {
     if (problem.kind != core::Problem::Auto) {
       std::cout << " problem=" << core::to_string(problem);
     }
-    std::cout << (fault ? " +non-fifo-fault" : "");
+    std::cout << (non_fifo.non_fifo ? " +non-fifo-fault" : "");
     if (!fault_budget.empty()) {
       std::cout << " fault-budget=crash:" << fault_budget.crashes
                 << "+rewire:" << fault_budget.rewires << "@<="
