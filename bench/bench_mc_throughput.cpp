@@ -2,15 +2,13 @@
 //
 // Reports, for a small verification grid, the walk throughput
 // (schedules/s and actions/s), the pruning economics (dedup hit-rate,
-// sleep-set and DPOR cut counts), and the serial vs frontier-sharded
-// trade: private-visited sharding buys parallel wall-clock but pays for
-// it in cross-shard dedup loss, while the lock-free shared visited set
-// recovers the dedup at the cost of claim-order nondeterminism in WHO
-// expands a state (never in the counts — they are functions of the
-// claimed closure). Dedup, sleep sets and DPOR are what push the
-// exhaustive grid to n=24 (2x the pre-DPOR maximum of n=12). The
-// google-benchmark timings land in the BENCH_mc.json CI artifact like
-// bench_campaign_engine's.
+// sleep-set and DPOR cut counts), and the serial tree walk vs the
+// parallel closure walk: shards over one lock-free shared visited set,
+// with claim-order nondeterminism in WHO expands a state (never in the
+// counts — they are functions of the claimed closure). Dedup, sleep sets
+// and DPOR are what push the exhaustive grid to n=24 (2x the pre-DPOR
+// maximum of n=12). The google-benchmark timings land in the BENCH_mc.json
+// CI artifact like bench_campaign_engine's.
 //
 // Set UDRING_MC_SMOKE=1 for the tiny CI grid.
 
@@ -67,7 +65,7 @@ std::string rate(double count, double ms) {
 
 void print_report() {
   std::cout << "Model-checker throughput: exhaustive verification cells,\n"
-               "serial (frontier=1) vs sharded (frontier=8, all cores).\n";
+               "serial tree walk vs closure walk (all cores).\n";
 
   print_section(std::cout, "Serial walk (full cross-subtree dedup)");
   Table serial_table({"algorithm", "n", "k", "wall ms", "states/s", "actions/s",
@@ -93,39 +91,12 @@ void print_report() {
   }
   std::cout << serial_table;
 
-  print_section(std::cout, "Frontier-sharded walk (per-shard dedup)");
-  Table sharded_table({"algorithm", "n", "k", "wall ms", "shards", "states/s",
-                       "dedup hit-rate", "speedup", "verdict match"});
+  print_section(std::cout, "Closure walk (lock-free shared visited set)");
+  Table shared_table({"algorithm", "n", "k", "wall ms", "shards", "states/s",
+                      "dedup hit-rate", "speedup", "verdict match"});
   std::size_t i = 0;
   for (const BenchCell& cell : bench_cells()) {
     mc::McOptions options;
-    options.frontier_target = 8;
-    options.workers = 0;  // all cores
-    mc::ModelCheckReport report;
-    const double ms = run_timed(cell_request(cell), options, report);
-    const mc::McStats& s = report.stats;
-    const double seen = static_cast<double>(s.states_expanded + s.states_deduped);
-    const double serial_ms = serial_ms_by_cell[i];
-    sharded_table.add_row(
-        {std::string(core::to_string(cell.algorithm)), Table::num(cell.n),
-         Table::num(cell.k), Table::num(ms, 2), Table::num(s.shards),
-         rate(static_cast<double>(s.states_expanded), ms),
-         Table::num(seen > 0 ? static_cast<double>(s.states_deduped) / seen : 0,
-                    3),
-         Table::num(serial_ms / (ms > 0 ? ms : 1), 2),
-         report.verdict == serial_reports[i].verdict ? "yes" : "NO"});
-    ++i;
-  }
-  std::cout << sharded_table;
-
-  print_section(std::cout,
-                "Shared-visited sharded walk (lock-free cross-shard dedup)");
-  Table shared_table({"algorithm", "n", "k", "wall ms", "shards", "states/s",
-                      "dedup hit-rate", "verdict match"});
-  i = 0;
-  for (const BenchCell& cell : bench_cells()) {
-    mc::McOptions options;
-    options.frontier_target = 8;
     options.workers = 0;  // all cores
     options.shared_visited = true;
     mc::ModelCheckReport report;
@@ -138,18 +109,16 @@ void print_report() {
          rate(static_cast<double>(s.states_expanded), ms),
          Table::num(seen > 0 ? static_cast<double>(s.states_deduped) / seen : 0,
                     3),
+         Table::num(serial_ms_by_cell[i] / (ms > 0 ? ms : 1), 2),
          report.verdict == serial_reports[i].verdict ? "yes" : "NO"});
     ++i;
   }
   std::cout << shared_table;
 
-  std::cout << "\nSharding is worker-count-invariant by construction: private\n"
-               "visited maps pay cross-shard dedup loss (equal states in\n"
-               "different shards are both expanded); the lock-free shared set\n"
-               "recovers the dedup — claim-first insertion makes the counts a\n"
-               "function of the claimed closure, so they too are identical at\n"
-               "any worker count. Use frontier=1 when the state DAG is dense,\n"
-               "sharding when the walk is replay-bound or pruning is off.\n";
+  std::cout << "\nClaim-first insertion makes the closure walk's counts a\n"
+               "function of the claimed closure, so they are identical at any\n"
+               "worker count. Its 2^22-slot table is allocated and zeroed per\n"
+               "check, which dominates the smallest cells.\n";
 }
 
 void register_timings() {
@@ -157,22 +126,21 @@ void register_timings() {
     const char* name;
     std::size_t n, k;
     bool dedup, sleep, dpor, shared;
-    std::size_t frontier, workers;
+    std::size_t workers;
   };
-  // The three n=8 names predate DPOR and must keep existing (bench_compare
-  // matches rows by name); their timings shift because the default walk now
-  // carries backtrack sets. no-pruning turns DPOR off along with the rest.
+  // The n=8 serial and no-pruning names predate DPOR and must keep existing
+  // (bench_compare matches rows by name); their timings shift because the
+  // default walk now carries backtrack sets. no-pruning turns DPOR off along
+  // with the rest.
   static constexpr TimingCase kCases[] = {
-      {"mc/known-k-full/n=8/k=3/serial", 8, 3, true, true, true, false, 1, 1},
-      {"mc/known-k-full/n=8/k=3/sharded-w8", 8, 3, true, true, true, false, 8,
-       8},
+      {"mc/known-k-full/n=8/k=3/serial", 8, 3, true, true, true, false, 1},
       {"mc/known-k-full/n=8/k=3/no-pruning", 8, 3, false, false, false, false,
-       1, 1},
-      {"mc/known-k-full/n=8/k=3/no-dpor", 8, 3, true, true, false, false, 1, 1},
+       1},
+      {"mc/known-k-full/n=8/k=3/no-dpor", 8, 3, true, true, false, false, 1},
       {"mc/known-k-full/n=8/k=3/shared-visited-w8", 8, 3, true, true, true,
-       true, 8, 8},
-      // Exhaustive at 2x the pre-DPOR maximum n — the row this PR exists for.
-      {"mc/known-k-full/n=24/k=4/serial", 24, 4, true, true, true, false, 1, 1},
+       true, 8},
+      // Exhaustive at 2x the pre-DPOR maximum n.
+      {"mc/known-k-full/n=24/k=4/serial", 24, 4, true, true, true, false, 1},
   };
   for (const TimingCase& c : kCases) {
     benchmark::RegisterBenchmark(
@@ -187,7 +155,6 @@ void register_timings() {
           options.sleep_sets = c.sleep;
           options.dpor = c.dpor;
           options.shared_visited = c.shared;
-          options.frontier_target = c.frontier;
           options.workers = c.workers;
           // The unpruned tree at n=8,k=3 is large; bound it so the timing
           // measures walk throughput, not tree size.

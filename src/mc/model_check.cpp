@@ -27,14 +27,26 @@ constexpr std::size_t kMaskAgents = 64;
 
 using AgentMask = std::uint64_t;
 
-/// A choice-tree node handed from the BFS frontier phase to a DFS shard:
-/// the schedule prefix that reaches it plus the sleep set it inherited.
-struct ShardNode {
-  std::vector<branch_index_t> prefix;
-  AgentMask sleep = 0;
+/// Open nodes the closure walk's serial BFS phase collects before each one
+/// becomes a DFS shard. A constant, so the shard decomposition (and
+/// McStats::shards) is a function of the instance alone. Measured on
+/// bench_mc_throughput's cells with 4 workers on a 4-core host: frontiers
+/// of 8, 16, 32 and 64 ran within noise of one another, while 4 shards
+/// balanced badly (known-k-full n=24/k=4: 380 ms against 141-183 ms).
+constexpr std::size_t kClosureFrontier = 16;
+
+/// A choice-tree node as the schedule prefix that reaches it.
+using Prefix = std::vector<branch_index_t>;
+
+/// What one Explorer (a tree walk or one closure-walk shard) found.
+struct WalkOutcome {
+  McStats stats;
+  bool budget_stop = false;
+  /// First violation in the walk's deterministic order: path and reason.
+  std::optional<std::pair<Prefix, std::string>> violation;
 };
 
-/// Visited-state store for the (default) per-shard tree walk. Sleep masks
+/// Visited-state store for the serial tree walk. Sleep masks
 /// feed the subset rule; the subtree summary (agents acted / nodes touched
 /// below the state, complete once the state's frame pops) is what lets DPOR
 /// stay sound across dedup cuts — see model_check.h.
@@ -59,16 +71,14 @@ using VisitedMap = std::unordered_map<std::uint64_t, VisitedEntry>;
 }
 
 /// One stateless DFS (or BFS-expansion) engine over one pooled
-/// ExecutionState. Not thread-safe; shards own independent Explorers. In
-/// shared_visited mode the explorers additionally share the claim set, the
-/// global action counter and the stop flag — all the cross-thread state
-/// there is.
+/// ExecutionState. Not thread-safe; closure-walk shards own independent
+/// Explorers that share the claim set, the global action counter and the
+/// stop flag — all the cross-thread state there is.
 class Explorer {
  public:
   Explorer(const sim::Instance& instance, const sim::GoalOracle& oracle,
            const McOptions& options, sim::ExecutionState& state,
-           std::size_t budget, VisitedMap visited_seed,
-           LockFreeVisitedSet* shared_visited = nullptr,
+           std::size_t budget, LockFreeVisitedSet* shared_visited = nullptr,
            std::atomic<std::size_t>* shared_actions = nullptr,
            std::atomic<bool>* stop_flag = nullptr)
       : instance_(instance),
@@ -76,7 +86,6 @@ class Explorer {
         options_(options),
         cur_(state),
         budget_(budget),
-        visited_(std::move(visited_seed)),
         shared_(shared_visited),
         shared_actions_(shared_actions),
         stop_flag_(stop_flag) {}
@@ -84,18 +93,20 @@ class Explorer {
   McStats stats;
   bool budget_stop = false;
   /// First violation in this explorer's deterministic walk order.
-  std::optional<std::pair<std::vector<branch_index_t>, std::string>> violation;
+  std::optional<std::pair<Prefix, std::string>> violation;
 
-  [[nodiscard]] const VisitedMap& visited() const noexcept { return visited_; }
+  [[nodiscard]] WalkOutcome outcome() && {
+    return {stats, budget_stop, std::move(violation)};
+  }
 
-  /// Walks the whole subtree rooted at `prefix` (with inherited sleep set)
-  /// by iterative DFS. The prefix node must be an open interior node (the
-  /// tree root, or a node the BFS phase classified as open).
-  void dfs(const std::vector<branch_index_t>& prefix, AgentMask root_sleep) {
+  /// Walks the whole subtree rooted at `prefix` by iterative DFS. The prefix
+  /// node must be an open interior node (the tree root, or a node the
+  /// closure walk's BFS phase classified as open).
+  void dfs(const Prefix& prefix) {
     path_ = prefix;
     reposition();
     std::vector<Frame> stack;
-    stack.push_back(make_frame(root_sleep, 0, 0, 0, root_dedup_key()));
+    stack.push_back(make_frame(0, 0, 0, 0, root_dedup_key()));
     if (options_.dpor) dpor_push_update(stack);
 
     while (!stack.empty() && !violation && !budget_stop && !should_stop()) {
@@ -176,50 +187,34 @@ class Explorer {
     }
   }
 
-  /// Expands every node of `level` one step, appending surviving open
-  /// children to `next` (the BFS frontier phase; no DPOR — the phase fully
-  /// expands all non-sleeping branches, which is what lets shard-local
-  /// backtrack sets stay shard-local). Stops early on violation or budget
-  /// exhaustion.
-  void expand_level(const std::vector<ShardNode>& level,
-                    std::vector<ShardNode>& next) {
-    std::vector<sim::AgentId> agents;
-    for (const ShardNode& node : level) {
+  /// Expands every node of `level` one step, appending the open children to
+  /// `next` (the closure walk's BFS phase, where sleep sets and DPOR are
+  /// off). Stops early on violation or budget exhaustion.
+  void expand_level(const std::vector<Prefix>& level,
+                    std::vector<Prefix>& next) {
+    for (const Prefix& node : level) {
       if (violation || budget_stop || should_stop()) return;
-      path_ = node.prefix;
+      path_ = node;
       reposition();
-      // Stepping invalidates the tip, and each sibling repositions; list the
-      // branch agents (sorted enabled ids) up front.
-      agents.clear();
-      for (std::size_t r = 0; r < cur_.enabled().size(); ++r) {
-        agents.push_back(cur_.enabled().select(r));
-      }
-      const AgentMask enabled_mask = current_enabled_mask();
-      AgentMask sleep = node.sleep;
       ++stats.states_expanded;
-      const auto branch_count = static_cast<branch_index_t>(agents.size());
+      const auto branch_count =
+          static_cast<branch_index_t>(cur_.enabled().size());
       for (branch_index_t b = 0; b < branch_count; ++b) {
         if (violation || budget_stop || should_stop()) return;
-        const sim::AgentId agent = agents[b];
-        if (options_.sleep_sets && (sleep & bit(agent)) != 0) {
-          ++stats.sleep_pruned;
-          continue;
-        }
         if (!at_tip_) {
-          path_ = node.prefix;
+          path_ = node;
           reposition();
         }
-        const AgentMask child_sleep = inherit_sleep(enabled_mask, sleep, agent);
+        const sim::AgentId agent = cur_.enabled().select(b);
         const std::size_t prev_tokens = cur_.total_tokens();
         path_.push_back(b);
         step(agent);
         DedupHit hit;
-        if (classify(child_sleep, prev_tokens, &hit) == NodeClass::Open) {
-          next.push_back({path_, child_sleep});
+        if (classify(0, prev_tokens, &hit) == NodeClass::Open) {
+          next.push_back(path_);
         }
         path_.pop_back();
         at_tip_ = false;
-        if (options_.sleep_sets) sleep |= bit(agent);
       }
     }
   }
@@ -345,7 +340,7 @@ class Explorer {
         stats.dpor_pruned += std::popcount(unexplored & ~f.sleep);
       }
     }
-    if (options_.dpor && options_.dedup_states && shared_ == nullptr) {
+    if (options_.dpor && options_.dedup_states) {
       const auto it = visited_.find(f.dedup_key);
       if (it != visited_.end()) {
         it->second.sub_agents |= f.sub_agents;
@@ -518,7 +513,7 @@ class Explorer {
   /// Key for a shard/tree root frame — only needed for the DPOR summary
   /// write-back, so skip the digest work otherwise.
   [[nodiscard]] std::uint64_t root_dedup_key() const {
-    if (options_.dpor && options_.dedup_states && shared_ == nullptr) {
+    if (options_.dpor && options_.dedup_states) {
       return cur_.config_digest();
     }
     return 0;
@@ -670,6 +665,64 @@ void accumulate(McStats& into, const McStats& from) {
   into.max_depth = std::max(into.max_depth, from.max_depth);
 }
 
+/// The closure walk (McOptions::shared_visited): a serial BFS phase expands
+/// the tree until a level holds `frontier` open nodes, then each of them is
+/// one DFS shard over the shared claim set, run on options.workers threads
+/// with one pooled RunContext per worker. Every explorer meters the one
+/// global action budget. Shards fold in index order; stats.shards stays 0
+/// when the BFS phase resolved or stopped the whole walk.
+[[nodiscard]] WalkOutcome closure_walk(const sim::Instance& instance,
+                                       const sim::GoalOracle& oracle,
+                                       const McOptions& options,
+                                       std::size_t frontier,
+                                       std::size_t budget) {
+  LockFreeVisitedSet shared(options.shared_visited_capacity != 0
+                                ? options.shared_visited_capacity
+                                : std::size_t{1} << 22);
+  std::atomic<std::size_t> actions{0};
+  std::atomic<bool> stop{false};
+
+  std::vector<Prefix> level = {{}};
+  WalkOutcome out;
+  {
+    core::RunContext context;
+    Explorer bfs(instance, oracle, options, context.state(), budget, &shared,
+                 &actions, &stop);
+    std::vector<Prefix> next;
+    while (level.size() < frontier && !bfs.violation && !bfs.budget_stop &&
+           !level.empty()) {
+      next.clear();
+      bfs.expand_level(level, next);
+      level.swap(next);
+    }
+    out = std::move(bfs).outcome();
+  }
+  // An empty level means the whole tree fit above the frontier.
+  if (out.violation || out.budget_stop || level.empty()) return out;
+
+  out.stats.shards = level.size();
+  std::vector<WalkOutcome> shards(level.size());
+  const std::size_t workers = resolve_workers(level.size(), options.workers);
+  std::vector<std::unique_ptr<core::RunContext>> contexts;
+  contexts.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    contexts.push_back(std::make_unique<core::RunContext>());
+  }
+  parallel_for_workers(
+      level.size(), workers, [&](std::size_t worker, std::size_t i) {
+        Explorer shard(instance, oracle, options, contexts[worker]->state(),
+                       budget, &shared, &actions, &stop);
+        shard.dfs(level[i]);
+        shards[i] = std::move(shard).outcome();
+      });
+  for (WalkOutcome& shard : shards) {  // index order: determinism
+    accumulate(out.stats, shard.stats);
+    out.budget_stop = out.budget_stop || shard.budget_stop;
+    if (!out.violation) out.violation = std::move(shard.violation);
+  }
+  return out;
+}
+
 }  // namespace
 
 std::uint64_t ModelCheckReport::digest() const {
@@ -708,153 +761,64 @@ ModelCheckReport check(const CheckRequest& request, const McOptions& options) {
     // independence relation does not model (a crash at action t is not a
     // local transition two agents can commute around), so the path-dependent
     // prunings are unsound across fault boundaries and are forced off. The
-    // BFS frontier phase is skipped too — rewiring choice levels exist only
-    // in the DFS walk. Dedup stays sound because config_digest folds the
-    // live fault state.
+    // closure walk skips its BFS phase too — rewiring choice levels exist
+    // only in the DFS walk. Dedup stays sound because config_digest folds
+    // the live fault state.
     opts.sleep_sets = false;
     opts.dpor = false;
-    opts.frontier_target = 1;
   }
   const std::size_t node_count =
       request.topology.empty() ? request.node_count : request.topology.size();
   if (node_count > 64) opts.dpor = false;  // summary masks are node bitmasks
-  if (opts.shared_visited && opts.dedup_states) {
-    // The shared claim set turns the walk into a closure over the state
-    // DAG; path-dependent prunings are unsound against racing claims.
+  // The shared claim set is the dedup; without dedup there is no closure.
+  const bool closure = opts.shared_visited && opts.dedup_states;
+  if (closure) {
+    // The closure walk is a closure over the state DAG; path-dependent
+    // prunings are unsound against racing claims.
     opts.sleep_sets = false;
     opts.dpor = false;
-  } else {
-    opts.shared_visited = false;  // meaningless without dedup
   }
-  if (opts.frontier_target == 0) opts.frontier_target = 1;
 
   const sim::Instance instance = build_instance(request);
-  // One immutable oracle for the whole walk, shared by the root explorer
-  // and every worker shard (check_goal/check_action are const and
-  // stateless).
+  // One immutable oracle for the whole walk, shared by every explorer
+  // (check_goal/check_action are const and stateless).
   const std::unique_ptr<sim::GoalOracle> oracle =
       core::make_goal_oracle(request.algorithm, request.problem);
   const std::size_t budget =
       opts.budget_actions == 0 ? kUnlimited : opts.budget_actions;
 
-  std::unique_ptr<LockFreeVisitedSet> shared;
-  std::atomic<std::size_t> shared_actions{0};
-  std::atomic<bool> shared_stop{false};
-  if (opts.shared_visited) {
-    const std::size_t capacity = opts.shared_visited_capacity != 0
-                                     ? opts.shared_visited_capacity
-                                     : (std::size_t{1} << 22);
-    shared = std::make_unique<LockFreeVisitedSet>(capacity);
+  WalkOutcome walk;
+  if (closure) {
+    walk = closure_walk(instance, *oracle, opts,
+                        request.faults.has_events() ? 1 : kClosureFrontier,
+                        budget);
+    if (walk.violation) {
+      // Which shard reaches a violating state first is a race; the
+      // existence of one is not. Re-check with the serial tree walk so the
+      // counterexample (and every count) is byte-identical at any worker
+      // count — the shared set accelerates the common "verified" case.
+      McOptions serial = options;
+      serial.shared_visited = false;
+      return check(request, serial);
+    }
+  } else {
+    core::RunContext context;
+    Explorer tree(instance, *oracle, opts, context.state(), budget);
+    tree.dfs({});
+    walk = std::move(tree).outcome();
+    walk.stats.shards = 1;
   }
-  LockFreeVisitedSet* shared_ptr = shared.get();
-  std::atomic<std::size_t>* actions_ptr =
-      opts.shared_visited ? &shared_actions : nullptr;
-  std::atomic<bool>* stop_ptr = opts.shared_visited ? &shared_stop : nullptr;
 
   ModelCheckReport report;
-
-  // ---- frontier phase (serial, deterministic) -------------------------------
-  core::RunContext root_context;
-  Explorer root(instance, *oracle, opts, root_context.state(), budget, {},
-                shared_ptr, actions_ptr, stop_ptr);
-  std::vector<ShardNode> level = {{{}, 0}};
-  bool resolved_in_bfs = false;
-  if (opts.frontier_target > 1) {
-    std::vector<ShardNode> next;
-    while (level.size() < opts.frontier_target && !root.violation &&
-           !root.budget_stop) {
-      next.clear();
-      root.expand_level(level, next);
-      level.swap(next);
-      if (level.empty()) {  // the whole tree fit above the frontier
-        resolved_in_bfs = true;
-        break;
-      }
-    }
-  }
-  report.stats = root.stats;
-  std::optional<std::pair<std::vector<branch_index_t>, std::string>> violation =
-      root.violation;
-  bool budget_stop = root.budget_stop;
-
-  // ---- shard phase ----------------------------------------------------------
-  if (!violation && !budget_stop && !resolved_in_bfs) {
-    const std::vector<ShardNode> shards = std::move(level);
-    report.stats.shards = shards.size();
-    // Deterministic budget split: what the frontier phase left, divided
-    // across shards (remainder to the first ones). Never depends on workers.
-    // In shared mode the budget is global instead — shards meter the one
-    // atomic action counter, and the exceeded/not verdict is a function of
-    // the closure's total work, not of the racing split.
-    std::vector<std::size_t> shard_budget(shards.size(), kUnlimited);
-    if (budget != kUnlimited) {
-      if (opts.shared_visited) {
-        std::fill(shard_budget.begin(), shard_budget.end(), budget);
-      } else {
-        const std::size_t remaining =
-            budget > report.stats.total_actions
-                ? budget - report.stats.total_actions
-                : 0;
-        for (std::size_t i = 0; i < shards.size(); ++i) {
-          shard_budget[i] = remaining / shards.size() +
-                            (i < remaining % shards.size() ? 1 : 0);
-        }
-      }
-    }
-
-    struct ShardOutcome {
-      McStats stats;
-      bool budget_stop = false;
-      std::optional<std::pair<std::vector<branch_index_t>, std::string>>
-          violation;
-    };
-    std::vector<ShardOutcome> outcomes(shards.size());
-    const std::size_t workers = resolve_workers(shards.size(), opts.workers);
-    std::vector<std::unique_ptr<core::RunContext>> contexts;
-    contexts.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      contexts.push_back(std::make_unique<core::RunContext>());
-    }
-    // Each shard copies the frontier phase's visited map as its seed: states
-    // the frontier already resolved are covered by some shard's subtree, so
-    // re-encounters skip (soundness argument in the header). Per-shard maps
-    // never cross worker boundaries — determinism like the campaign engine.
-    // In shared mode the maps are empty and the claim set carries it all.
-    const VisitedMap& seed = root.visited();
-    parallel_for_workers(
-        shards.size(), workers, [&](std::size_t worker, std::size_t i) {
-          Explorer shard(instance, *oracle, opts, contexts[worker]->state(),
-                         shard_budget[i], seed, shared_ptr, actions_ptr,
-                         stop_ptr);
-          shard.dfs(shards[i].prefix, shards[i].sleep);
-          outcomes[i] = {shard.stats, shard.budget_stop,
-                         std::move(shard.violation)};
-        });
-    for (const ShardOutcome& outcome : outcomes) {  // index order: determinism
-      accumulate(report.stats, outcome.stats);
-      budget_stop = budget_stop || outcome.budget_stop;
-      if (!violation && outcome.violation) violation = outcome.violation;
-    }
-  }
-
-  // ---- verdict --------------------------------------------------------------
-  if (violation) {
-    if (opts.shared_visited) {
-      // Which shard reaches a violating state first is a race; the
-      // existence of one is not. Re-check without the shared set so the
-      // counterexample (and every count) comes from the deterministic tree
-      // walk — byte-identical at any worker count.
-      McOptions fallback = options;
-      fallback.shared_visited = false;
-      return check(request, fallback);
-    }
+  report.stats = walk.stats;
+  if (walk.violation) {
     report.ok = false;
     report.complete = false;
     report.verdict = "violation";
-    report.failure_reason = violation->second;
-    report.counterexample =
-        materialize_counterexample(request, violation->first, violation->second);
-  } else if (budget_stop) {
+    report.failure_reason = walk.violation->second;
+    report.counterexample = materialize_counterexample(
+        request, walk.violation->first, walk.violation->second);
+  } else if (walk.budget_stop) {
     report.ok = true;
     report.complete = false;
     report.verdict = "budget-exhausted";

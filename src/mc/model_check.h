@@ -63,29 +63,30 @@
 //    Auto-disabled beyond 64 agents or 64 nodes (the summaries are
 //    bitmasks).
 //
-// Parallel mode is frontier-sharded: a serial BFS expands the tree until a
-// level has at least `frontier_target` open nodes, each frontier node (its
-// choice prefix + inherited sleep set) becomes one shard, and shards run
-// DFS walks across util::parallel_for_workers with one pooled
-// core::RunContext per worker. The shard decomposition, per-shard budgets
-// and per-shard visited maps (seeded from the BFS phase's map) depend only
-// on the options — never on the worker count — and reports fold in shard
-// index order, so schedules/states/verdict and digest() are byte-identical
-// at any parallelism, the same contract as exp::run_campaign.
+// mc::check runs one of two walks:
+//  - The tree walk (default): the serial DFS above with every reduction —
+//    dedup, sleep sets and DPOR. Deterministic by construction;
+//    McStats::shards reads 1.
+//  - The closure walk (`shared_visited`): a serial BFS phase expands the
+//    tree until a level holds at least a fixed, in-code number of open
+//    nodes (16; 1 under event fault plans, whose rewiring levels exist
+//    only in the DFS), each of which becomes one DFS shard; shards run
+//    across util::parallel_for_workers with one pooled core::RunContext
+//    per worker, over one lock-free LockFreeVisitedSet
+//    (util/visited_set.h) shared by the BFS phase and every shard. The
+//    first arrival at a configuration claims it and expands it, every
+//    later arrival from any shard skips it, so the walk is a closure over
+//    the state DAG.
+//    Path-dependent prunings (sleep sets, DPOR) are force-disabled — a
+//    state claimed under one path's sleep set must still be expanded with
+//    every branch.
 //
-// `shared_visited` swaps the per-shard maps for one lock-free
-// LockFreeVisitedSet (util/visited_set.h) shared by the BFS phase and every
-// shard: the first arrival at a configuration claims it and expands it,
-// every later arrival from any shard skips it, which eliminates the
-// cross-shard re-exploration tax entirely and turns the walk into a
-// closure over the state DAG. Path-dependent prunings (sleep sets, DPOR)
-// are force-disabled in this mode — a state claimed under one path's sleep
-// set must still be expanded with every branch — and determinism survives
-// the racing claims because every reported number is a function of the
-// closure itself, not of who claimed what: each reachable state is
-// expanded exactly once by whichever shard wins it, each edge out of a
-// claimed state is explored exactly once, all paths to a state have equal
-// length (depth is a function of the state), and the report folds only
+// The closure walk's determinism survives the racing claims because every
+// reported number is a function of the closure itself, not of who claimed
+// what: each reachable state is expanded exactly once by whichever shard
+// wins it, each edge out of a claimed state is explored exactly once, all
+// paths to a state have equal length (depth is a function of the state),
+// the shard count is a function of the instance, and the report folds only
 // sums and maxima of those quantities. Verdicts and all counts therefore
 // stay byte-identical at any worker count for walks that complete; a
 // budget-stopped walk keeps a deterministic verdict but its partial
@@ -97,10 +98,13 @@
 // "budget-exhausted" in another at that boundary. The verdict is never
 // wrong, only unstably incomplete; size the table (shared_visited_capacity)
 // so the closure fits comfortably under the limit and the complete /
-// incomplete boundary is deterministic too. A violating instance
-// is re-checked without the shared set (the deterministic tree walk) so
-// the counterexample trace is byte-identical too — the shared set
-// accelerates the common "verified" case.
+// incomplete boundary is deterministic too. A violating instance is
+// re-checked with the serial tree walk so the counterexample trace is
+// byte-identical too — the shared set accelerates the common "verified"
+// case. Its known cost: the default 2^22-slot (32 MiB) table is allocated
+// and zeroed per check, which dominates small instances (known-k-full
+// n=8/k=3 closes in ~26 ms against ~1.5 ms for the serial tree walk on a
+// 4-core Xeon, bench_mc_throughput).
 
 #pragma once
 
@@ -160,9 +164,10 @@ struct CheckRequest {
   std::size_t max_actions = 0;
 };
 
-/// The reductions and the work split of one mc::check. Every combination of
-/// the three prunings gives the same verdict (test_mc.cpp); none changes
-/// the dedup key, which is always ExecutionState::config_digest().
+/// The reductions and the walk of one mc::check. Every combination of the
+/// three prunings, and the closure walk, gives the same verdict
+/// (test_mc.cpp); none changes the dedup key, which is always
+/// ExecutionState::config_digest().
 struct McOptions {
   /// (a) visited-state deduplication on ExecutionState::config_digest().
   bool dedup_states = true;
@@ -174,13 +179,13 @@ struct McOptions {
   /// sets) over the same footprint dependency the sleep sets use, with
   /// per-visited-state subtree summaries repairing the dedup interaction
   /// (header comment). Auto-disabled beyond 64 agents or 64 nodes, and in
-  /// shared_visited mode (the reduction is path-dependent).
+  /// the closure walk (the reduction is path-dependent).
   bool dpor = true;
-  /// Replace the per-shard visited maps with one lock-free open-addressing
-  /// hash set (util/visited_set.h) shared across the BFS phase and every
-  /// frontier shard. Eliminates cross-shard re-exploration; forces
-  /// sleep_sets and dpor off; ignored when dedup_states is off. See the
-  /// header comment for the determinism contract.
+  /// Run the parallel closure walk instead of the serial tree walk: one
+  /// lock-free open-addressing hash set (util/visited_set.h) shared by the
+  /// BFS phase and every shard. Forces sleep_sets and dpor off; ignored when
+  /// dedup_states is off. See the header comment for the determinism
+  /// contract and the table's fixed cost.
   bool shared_visited = false;
   /// Slot count of the shared set (0 = auto, currently 2^22 ≈ 32 MiB).
   /// Overflow degrades the verdict to "budget-exhausted", never corrupts
@@ -189,16 +194,12 @@ struct McOptions {
   /// complete/incomplete boundary.
   std::size_t shared_visited_capacity = 0;
   /// Global budget on executed simulator actions, replays included
-  /// (0 = unlimited). Split deterministically across shards, so exceeding
-  /// it yields `complete = false` at any worker count identically.
+  /// (0 = unlimited). The closure walk's shards all meter one shared
+  /// counter. Exceeding it yields `complete = false`.
   std::size_t budget_actions = 0;
-  /// Frontier sharding target: the BFS phase expands until a level has at
-  /// least this many open nodes, each of which becomes one DFS shard.
-  /// 1 (default) = a single serial walk. The value changes how the work is
-  /// cut, never the verdict.
-  std::size_t frontier_target = 1;
-  /// Worker threads executing shards (resolve_workers semantics; 0 = all
-  /// cores). Never affects any reported number.
+  /// Worker threads executing the closure walk's shards (resolve_workers
+  /// semantics; 0 = all cores). The tree walk is serial. Never affects any
+  /// reported number.
   std::size_t workers = 1;
 };
 
@@ -211,7 +212,9 @@ struct McStats {
   std::size_t replays = 0;          ///< prefix re-executions (backtracks)
   std::size_t total_actions = 0;    ///< simulator actions executed, replays included
   std::size_t max_depth = 0;        ///< deepest schedule prefix reached
-  std::size_t shards = 0;           ///< DFS shards executed (0 = BFS resolved all)
+  /// DFS shards executed: 1 for the tree walk; the closure walk's frontier
+  /// size (0 = its BFS phase resolved the whole walk).
+  std::size_t shards = 0;
 };
 
 struct ModelCheckReport {

@@ -19,6 +19,16 @@ void FaultPlan::normalize() {
 
 void FaultPlan::validate(std::size_t node_count,
                          std::size_t agent_count) const {
+  // A window without the fault would inject nothing while the plan (and
+  // any trace recording it) reads as faulted.
+  if (!non_fifo && non_fifo_min_phase != 0) {
+    throw std::invalid_argument(
+        "FaultPlan: non_fifo_min_phase is set but non_fifo is off");
+  }
+  if (!non_fifo && non_fifo_until_action != 0) {
+    throw std::invalid_argument(
+        "FaultPlan: non_fifo_until_action is set but non_fifo is off");
+  }
   for (const CrashFault& crash : crashes) {
     if (crash.agent >= agent_count) {
       throw std::invalid_argument(

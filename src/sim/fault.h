@@ -91,10 +91,11 @@ struct FaultPlan {
   /// targets Algorithm 3's deployment race while Algorithm 2's
   /// selection-phase geometry measurements (which also assume
   /// non-overtaking, for every variant) stay sound. 0 = live from the first
-  /// action.
+  /// action. Non-zero requires non_fifo (validate()).
   std::size_t non_fifo_min_phase = 0;
   /// Upper bound of the overtaking window: overtaking is permitted only
-  /// while the action counter is < this value. 0 = unbounded.
+  /// while the action counter is < this value. 0 = unbounded. Non-zero
+  /// requires non_fifo (validate()).
   std::size_t non_fifo_until_action = 0;
 
   /// Broadcast drops: the next `drop_count` broadcasts with at least one
@@ -142,9 +143,10 @@ struct FaultPlan {
   void normalize();
 
   /// Validates the normalized plan against an instance's dimensions; throws
-  /// std::invalid_argument on out-of-range crash agents, duplicate crash
-  /// agents, duplicate rewire points, or rewiring on a sub-2-node topology
-  /// (no coprime stride exists to rewire to).
+  /// std::invalid_argument on a non-FIFO window (non_fifo_min_phase or
+  /// non_fifo_until_action) without non_fifo, out-of-range crash agents,
+  /// duplicate crash agents, duplicate rewire points, or rewiring on a
+  /// sub-2-node topology (no coprime stride exists to rewire to).
   void validate(std::size_t node_count, std::size_t agent_count) const;
 
   /// Canonical compact label for campaign axes and report tables:

@@ -193,7 +193,7 @@ TEST(NonFifoFault, FaultDisabledMeansNoOvertaking) {
   // Without the fault flag the same fuzz pool finds nothing: the strict
   // variant is correct on a FIFO substrate (the paper's model).
   FuzzOptions options = strict_fifo_bug_options();
-  options.faults.non_fifo = false;
+  options.faults = {};  // a phase window without the fault is invalid
   const FuzzReport report = run_fuzz(options);
   EXPECT_EQ(report.failures, 0u)
       << (report.failure_samples.empty()

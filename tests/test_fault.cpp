@@ -23,6 +23,7 @@
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "explore/fuzz.h"
@@ -82,6 +83,24 @@ TEST(FaultPlan, ValidateRejectsMalformedPlans) {
   sim::FaultPlan tiny_ring;
   tiny_ring.rewire_at = {1};
   EXPECT_THROW(tiny_ring.validate(1, 1), std::invalid_argument);
+
+  // A non-FIFO window without the fault injects nothing: each window field
+  // is rejected by name, and accepted once the fault is on.
+  for (const std::string field :
+       {"non_fifo_min_phase", "non_fifo_until_action"}) {
+    sim::FaultPlan window;
+    (field == "non_fifo_min_phase" ? window.non_fifo_min_phase
+                                   : window.non_fifo_until_action) = 2;
+    try {
+      window.validate(8, 2);
+      ADD_FAILURE() << field << " without non_fifo was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << error.what();
+    }
+    window.non_fifo = true;
+    EXPECT_NO_THROW(window.validate(8, 2)) << field;
+  }
 }
 
 TEST(FaultPlan, LabelListsEventsInCanonicalOrder) {

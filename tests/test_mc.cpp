@@ -4,10 +4,10 @@
 //
 // Pins, per the PR's acceptance criteria:
 //  1. Exhaustive verification of KnownKFull and KnownKLogMem at small (n, k)
-//     on ring, Euler-tree and Eulerian-graph topologies, with exact
-//     schedule/state counts that are byte-identical at any worker count
-//     (the frontier-sharded decomposition is part of the options, never of
-//     the parallelism), plus a literal full-enumeration count on the
+//     on ring, Euler-tree and Eulerian-graph topologies, with the closure
+//     walk's schedule/state counts byte-identical at any worker count (its
+//     shard decomposition is a function of the instance, never of the
+//     parallelism), plus a literal full-enumeration count on the
 //     smallest instance — a number derived from nothing but the simulator's
 //     branching structure, so any semantic drift moves it.
 //  2. Deterministic (randomness-free) rediscovery of the non-FIFO
@@ -16,7 +16,7 @@
 //     failure and digest.
 //  3. Pruned == unpruned verdict equality on grids where full enumeration
 //     is feasible, for every pruning combination (dedup × sleep sets ×
-//     DPOR), plus shared-visited-set runs whose verdicts and counts are
+//     DPOR) and for the closure walk, whose verdicts and counts are
 //     byte-identical at any worker count.
 //  4. Walk pins: ModelCheckReport::digest() — which folds every McStats
 //     count, replays and total actions included — pinned for one small
@@ -293,24 +293,28 @@ class ExhaustiveAlgorithms
     : public ::testing::TestWithParam<core::Algorithm> {};
 
 TEST_P(ExhaustiveAlgorithms, VerifiedOnSmallRingAtAnyWorkerCount) {
+  // n = 10, not 8: at n = 8, k = 3 the closure walk's BFS phase closes the
+  // whole walk before any shard runs, and here the shards must race.
   Rng rng(7);
   CheckRequest request = ring_request(
-      GetParam(), 8, exp::draw_homes(exp::ConfigFamily::RandomAny, 8, 3, 1, rng));
+      GetParam(), 10,
+      exp::draw_homes(exp::ConfigFamily::RandomAny, 10, 3, 1, rng));
   McOptions options;
-  options.frontier_target = 6;  // sharded decomposition: fixed by options
+  options.shared_visited = true;  // the closure walk: shards fixed by instance
   options.workers = 1;
-  const ModelCheckReport serial = check(request, options);
-  EXPECT_TRUE(serial.ok) << serial.failure_reason;
-  EXPECT_TRUE(serial.complete);
-  EXPECT_GT(serial.stats.schedules, 0u);
-  EXPECT_GT(serial.stats.states_expanded, 0u);
-  EXPECT_GT(serial.stats.shards, 1u);
+  const ModelCheckReport one = check(request, options);
+  EXPECT_TRUE(one.ok) << one.failure_reason;
+  EXPECT_TRUE(one.complete);
+  EXPECT_GT(one.stats.schedules, 0u);
+  EXPECT_GT(one.stats.states_expanded, 0u);
+  EXPECT_GT(one.stats.shards, 1u);
   for (const std::size_t workers : {2u, 4u}) {
-    McOptions sharded = options;
-    sharded.workers = workers;
-    expect_same_report(serial, check(request, sharded),
+    McOptions racing = options;
+    racing.workers = workers;
+    expect_same_report(one, check(request, racing),
                        "worker count changed the report");
   }
+  EXPECT_EQ(one.verdict, check(request).verdict);
 }
 
 TEST_P(ExhaustiveAlgorithms, VerifiedNativelyOnEulerTreeAndEulerianGraph) {
@@ -412,7 +416,10 @@ TEST(FaultRediscovery, HardenedVariantSurvivesTheSameSearchBudget) {
   EXPECT_TRUE(report.ok) << report.failure_reason;
 }
 
-TEST(FaultRediscovery, VerdictIdenticalUnderEveryPruningCombination) {
+/// Every pruning combination (dedup × sleep sets × DPOR) of the tree walk,
+/// then the closure walk on 4 workers as the last entry.
+[[nodiscard]] std::vector<McOptions> every_walk() {
+  std::vector<McOptions> walks;
   for (const bool dedup : {false, true}) {
     for (const bool sleep : {false, true}) {
       for (const bool dpor : {false, true}) {
@@ -420,14 +427,32 @@ TEST(FaultRediscovery, VerdictIdenticalUnderEveryPruningCombination) {
         options.dedup_states = dedup;
         options.sleep_sets = sleep;
         options.dpor = dpor;
-        const ModelCheckReport report =
-            check(stress_fault_request(core::Algorithm::KnownKLogMemStrict),
-                  options);
-        EXPECT_FALSE(report.ok);
-        EXPECT_EQ(report.failure_reason, "goal: two agents share node 0")
-            << "dedup=" << dedup << " sleep=" << sleep << " dpor=" << dpor;
+        walks.push_back(options);
       }
     }
+  }
+  McOptions closure;
+  closure.shared_visited = true;
+  closure.workers = 4;
+  walks.push_back(closure);
+  return walks;
+}
+
+[[nodiscard]] std::string describe(const McOptions& options) {
+  return "dedup=" + std::to_string(options.dedup_states) +
+         " sleep=" + std::to_string(options.sleep_sets) +
+         " dpor=" + std::to_string(options.dpor) +
+         " closure=" + std::to_string(options.shared_visited);
+}
+
+TEST(FaultRediscovery, VerdictIdenticalUnderEveryPruningCombination) {
+  for (const McOptions& options : every_walk()) {
+    const ModelCheckReport report =
+        check(stress_fault_request(core::Algorithm::KnownKLogMemStrict),
+              options);
+    EXPECT_FALSE(report.ok);
+    EXPECT_EQ(report.failure_reason, "goal: two agents share node 0")
+        << describe(options);
   }
 }
 
@@ -452,31 +477,23 @@ TEST(PruningSoundness, VerdictEqualOnFullyEnumerableGrid) {
         exp::draw_homes(exp::ConfigFamily::RandomAny, cell.n, 2, 1, rng));
     ModelCheckReport reference;  // fully unpruned = ground truth
     bool have_reference = false;
-    for (const bool dedup : {false, true}) {
-      for (const bool sleep : {false, true}) {
-        for (const bool dpor : {false, true}) {
-          McOptions options;
-          options.dedup_states = dedup;
-          options.sleep_sets = sleep;
-          options.dpor = dpor;
-          const ModelCheckReport report = check(request, options);
-          EXPECT_TRUE(report.complete)
-              << core::to_string(cell.algorithm) << " n=" << cell.n;
-          if (!have_reference) {
-            reference = report;
-            have_reference = true;
-            EXPECT_GT(report.stats.schedules, 0u);
-          }
-          EXPECT_EQ(report.ok, reference.ok)
-              << core::to_string(cell.algorithm) << " n=" << cell.n
-              << " dedup=" << dedup << " sleep=" << sleep << " dpor=" << dpor;
-          EXPECT_EQ(report.verdict, reference.verdict);
-          // Pruning may only shrink the walk, never grow it.
-          EXPECT_LE(report.stats.schedules, reference.stats.schedules);
-          EXPECT_LE(report.stats.states_expanded,
-                    reference.stats.states_expanded);
-        }
+    for (const McOptions& options : every_walk()) {
+      const ModelCheckReport report = check(request, options);
+      EXPECT_TRUE(report.complete)
+          << core::to_string(cell.algorithm) << " n=" << cell.n;
+      if (!have_reference) {
+        reference = report;
+        have_reference = true;
+        EXPECT_GT(report.stats.schedules, 0u);
       }
+      EXPECT_EQ(report.ok, reference.ok)
+          << core::to_string(cell.algorithm) << " n=" << cell.n << " "
+          << describe(options);
+      EXPECT_EQ(report.verdict, reference.verdict);
+      // Pruning may only shrink the walk, never grow it.
+      EXPECT_LE(report.stats.schedules, reference.stats.schedules);
+      EXPECT_LE(report.stats.states_expanded,
+                reference.stats.states_expanded);
     }
   }
 }
@@ -539,15 +556,15 @@ TEST(SharedVisited, VerdictAndCountsIdenticalAtAnyWorkerCount) {
   // full report — not just the verdict — is byte-identical whether shards
   // race on 1, 2 or 4 threads.
   const CheckRequest request =
-      ring_request(core::Algorithm::KnownKFull, 8, {0, 3, 6});
+      ring_request(core::Algorithm::KnownKFull, 10, {0, 3, 6});
   McOptions options;
   options.shared_visited = true;
-  options.frontier_target = 6;
   options.workers = 1;
   const ModelCheckReport serial = check(request, options);
   EXPECT_TRUE(serial.ok) << serial.failure_reason;
   EXPECT_TRUE(serial.complete);
   EXPECT_GT(serial.stats.states_deduped, 0u);
+  EXPECT_GT(serial.stats.shards, 1u);
   for (const std::size_t workers : {2u, 4u}) {
     McOptions racing = options;
     racing.workers = workers;
@@ -564,18 +581,15 @@ TEST(SharedVisited, VerdictAndCountsIdenticalAtAnyWorkerCount) {
 
 TEST(SharedVisited, ViolationFallsBackToTheDeterministicWalk) {
   // Which racing shard trips a violation first is nondeterministic, so
-  // check() re-runs without the shared set: the report — counterexample
-  // included — must be byte-identical to a plain check's.
+  // check() re-runs with the serial tree walk: the report — counterexample
+  // included — must be byte-identical to a plain serial check's.
   McOptions options;
   options.shared_visited = true;
-  options.frontier_target = 6;
   options.workers = 4;
   const ModelCheckReport shared =
       check(stress_fault_request(core::Algorithm::KnownKLogMemStrict), options);
-  McOptions plain_options = options;  // fallback = same options, no shared set
-  plain_options.shared_visited = false;
-  const ModelCheckReport plain = check(
-      stress_fault_request(core::Algorithm::KnownKLogMemStrict), plain_options);
+  const ModelCheckReport plain =
+      check(stress_fault_request(core::Algorithm::KnownKLogMemStrict));
   ASSERT_FALSE(shared.ok);
   expect_same_report(plain, shared, "violation fallback must be exact");
   ASSERT_TRUE(shared.counterexample.has_value());

@@ -242,12 +242,13 @@ TEST(RunMany, MatchesRunAlgorithmPerSpec) {
 // ---- pooled mc explorer walks -----------------------------------------------
 
 TEST(McPooling, InterleavedChecksAreByteIdenticalToIsolatedOnes) {
-  // mc::check reuses one pooled ExecutionState per worker across ALL of that
-  // worker's shards (thousands of reset()+replay cycles on the same arena).
-  // Any state that survives reset() — a stale mailbox, token count, queue
-  // arrival stamp — would skew digests and change dedup behaviour. Pin:
-  // checking A, then a differently-shaped B, then A again yields
-  // byte-identical reports for both A runs, equal to a first-call report.
+  // mc::check's closure walk reuses one pooled ExecutionState per worker
+  // across ALL of that worker's shards (thousands of reset()+replay cycles
+  // on the same arena). Any state that survives reset() — a stale mailbox,
+  // token count, queue arrival stamp — would skew digests and change dedup
+  // behaviour. Pin, at workers {1, 2, 4}: checking A, then a
+  // differently-shaped B, then A again yields byte-identical reports for
+  // both A runs, equal to a first-call report.
   const auto request = [](std::size_t n, std::vector<std::size_t> homes) {
     mc::CheckRequest r;
     r.algorithm = core::Algorithm::KnownKFull;
@@ -255,20 +256,25 @@ TEST(McPooling, InterleavedChecksAreByteIdenticalToIsolatedOnes) {
     r.homes = std::move(homes);
     return r;
   };
-  mc::McOptions options;
-  options.frontier_target = 6;  // force the sharded path: real shard reuse
-  options.workers = 2;
-  const mc::ModelCheckReport first = mc::check(request(8, {0, 3, 6}), options);
-  const mc::ModelCheckReport other = mc::check(request(10, {0, 5}), options);
-  const mc::ModelCheckReport again = mc::check(request(8, {0, 3, 6}), options);
-  EXPECT_TRUE(first.ok);
-  EXPECT_TRUE(other.ok);
-  EXPECT_EQ(first.digest(), again.digest());
-  EXPECT_EQ(first.stats.states_expanded, again.stats.states_expanded);
-  EXPECT_EQ(first.stats.states_deduped, again.stats.states_deduped);
-  EXPECT_EQ(first.stats.sleep_pruned, again.stats.sleep_pruned);
-  EXPECT_EQ(first.stats.dpor_pruned, again.stats.dpor_pruned);
-  EXPECT_EQ(first.stats.total_actions, again.stats.total_actions);
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    mc::McOptions options;
+    options.shared_visited = true;  // the sharded path: real shard reuse
+    options.workers = workers;
+    const mc::ModelCheckReport first =
+        mc::check(request(10, {0, 3, 6}), options);
+    const mc::ModelCheckReport other = mc::check(request(8, {0, 4}), options);
+    const mc::ModelCheckReport again =
+        mc::check(request(10, {0, 3, 6}), options);
+    EXPECT_TRUE(first.ok);
+    EXPECT_TRUE(other.ok);
+    EXPECT_GT(first.stats.shards, 1u);
+    EXPECT_EQ(first.digest(), again.digest()) << "workers=" << workers;
+    EXPECT_EQ(first.stats.states_expanded, again.stats.states_expanded);
+    EXPECT_EQ(first.stats.states_deduped, again.stats.states_deduped);
+    EXPECT_EQ(first.stats.sleep_pruned, again.stats.sleep_pruned);
+    EXPECT_EQ(first.stats.dpor_pruned, again.stats.dpor_pruned);
+    EXPECT_EQ(first.stats.total_actions, again.stats.total_actions);
+  }
 }
 
 // ---- draw_batch reseed audit: pooled explore schedulers ---------------------

@@ -289,20 +289,22 @@ TEST(CrossProblemMc, VerdictAndDigestAreWorkerCountInvariant) {
        {core::Algorithm::GatherRing, core::Algorithm::DisperseRing}) {
     mc::CheckRequest request;
     request.algorithm = algorithm;
-    request.node_count = 6;
-    request.homes = {0, 2};
-    // Same shard decomposition (frontier_target), different worker counts:
-    // the report digest must be byte-identical.
-    mc::McOptions serial;
-    serial.frontier_target = 8;
-    serial.workers = 1;
-    mc::McOptions sharded;
-    sharded.frontier_target = 8;
-    sharded.workers = 4;
-    const mc::ModelCheckReport a = mc::check(request, serial);
-    const mc::ModelCheckReport b = mc::check(request, sharded);
-    EXPECT_EQ(a.digest(), b.digest()) << core::to_string(algorithm);
+    // n = 10, k = 3: wide enough that the closure walk really shards.
+    request.node_count = 10;
+    request.homes = {0, 2, 5};
+    // The closure walk's shards are fixed by the instance, so the report
+    // digest must be byte-identical at any worker count.
+    mc::McOptions options;
+    options.shared_visited = true;
+    options.workers = 1;
+    const mc::ModelCheckReport a = mc::check(request, options);
     EXPECT_TRUE(a.ok && a.complete) << a.failure_reason;
+    EXPECT_GT(a.stats.shards, 1u);
+    for (const std::size_t workers : {2u, 4u}) {
+      options.workers = workers;
+      EXPECT_EQ(a.digest(), mc::check(request, options).digest())
+          << core::to_string(algorithm) << " workers=" << workers;
+    }
   }
 }
 

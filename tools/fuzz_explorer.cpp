@@ -25,6 +25,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -115,6 +116,10 @@ int fuzz_mode(const explore::FuzzOptions& options, const std::string& out_dir) {
 
   if (!out_dir.empty()) std::filesystem::create_directories(out_dir);
   std::size_t written = 0;
+  // Many failures shrink to the same minimal schedule: one artifact per
+  // distinct shrunk trace, keyed on its text minus the provenance lines
+  // (generator, seed) — instance, fault plan, choices and expected digest.
+  std::set<std::string> distinct;
   for (const explore::FuzzFailure& failure : report.failure_samples) {
     std::cout << "  FAIL iteration " << failure.iteration << " @action "
               << failure.at_action << ": " << failure.reason << '\n';
@@ -122,6 +127,13 @@ int fuzz_mode(const explore::FuzzOptions& options, const std::string& out_dir) {
     std::cout << "    shrunk " << shrunk.original_size << " -> "
               << shrunk.trace.choices.size() << " choices ("
               << shrunk.replays << " replays): " << shrunk.reason << '\n';
+    explore::ScheduleTrace key = shrunk.trace;
+    key.generator.clear();
+    key.seed = 0;
+    if (!distinct.insert(key.to_text()).second) {
+      std::cout << "    same shrunk trace as an earlier failure\n";
+      continue;
+    }
     if (!out_dir.empty()) {
       std::ostringstream name;
       name << out_dir << "/shrunk-" << core::to_string(options.algorithm)
@@ -134,6 +146,8 @@ int fuzz_mode(const explore::FuzzOptions& options, const std::string& out_dir) {
       }
     }
   }
+  std::cout << report.failure_samples.size() << " sampled failures -> "
+            << distinct.size() << " distinct shrunk traces\n";
   if (written != 0) {
     std::cout << "replay any artifact with: udring_fuzz --replay=<file>\n";
   }
@@ -217,8 +231,8 @@ int main(int argc, char** argv) {
         "TEST-ONLY: weaken the FIFO link guarantee (FaultPlan::non_fifo)");
     options.faults.non_fifo_min_phase = cli.get_size(
         "fault-min-phase", 0,
-        "with --inject-non-fifo: allow overtaking only at/after this phase "
-        "tag (FaultPlan::non_fifo_min_phase)");
+        "with --inject-non-fifo (rejected without it): allow overtaking "
+        "only at/after this phase tag (FaultPlan::non_fifo_min_phase)");
     const std::string faults_spec =
         cli.get("faults",
                 "per-iteration fault budgets, comma list of crash=N and "

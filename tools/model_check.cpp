@@ -98,10 +98,10 @@ int main(int argc, char** argv) {
     const std::size_t budget = cli.get_size(
         "budget", 0,
         "action budget, replays included (0 = walk the tree to exhaustion)");
-    const std::size_t frontier = cli.get_size(
-        "frontier", 1, "frontier shards for the parallel walk (1 = serial)");
-    const std::size_t workers =
-        cli.get_size("workers", 0, "worker threads for shards (0 = all cores)");
+    const std::size_t workers = cli.get_size(
+        "workers", 0,
+        "worker threads for the --shared-visited closure walk (0 = all "
+        "cores; the default tree walk is serial)");
     const bool no_dedup =
         cli.get_flag("no-dedup", "disable visited-state deduplication");
     const bool no_sleep =
@@ -110,19 +110,23 @@ int main(int argc, char** argv) {
         "no-dpor", "disable dynamic partial-order reduction (backtrack sets)");
     const bool shared_visited = cli.get_flag(
         "shared-visited",
-        "share one lock-free visited set across all shards (closure walk; "
-        "disables sleep sets + DPOR, counts stay worker-independent)");
+        "run the parallel closure walk: a BFS phase cuts at least 16 shards, "
+        "which race over one lock-free visited set on --workers threads "
+        "(disables sleep sets + "
+        "DPOR; counts stay worker-independent; a violation is re-checked "
+        "with the serial tree walk)");
     const std::size_t shared_capacity = cli.get_size(
         "shared-visited-capacity", 0,
-        "slot count for --shared-visited (0 = auto, 2^22)");
+        "slot count for --shared-visited (0 = auto, 2^22 = 32 MiB, "
+        "allocated per check; an undersized table reports budget-exhausted)");
     sim::FaultPlan non_fifo;
     non_fifo.non_fifo = cli.get_flag(
         "inject-non-fifo",
         "TEST-ONLY: weaken the FIFO link guarantee (FaultPlan::non_fifo)");
     non_fifo.non_fifo_min_phase = cli.get_size(
         "fault-min-phase", 0,
-        "with --inject-non-fifo: allow overtaking only at/after this phase "
-        "tag (FaultPlan::non_fifo_min_phase)");
+        "with --inject-non-fifo (rejected without it): allow overtaking "
+        "only at/after this phase tag (FaultPlan::non_fifo_min_phase)");
     const std::string fault_budget_spec =
         cli.get("fault-budget",
                 "enumerate bounded fault plans on top of every schedule: "
@@ -145,10 +149,11 @@ int main(int argc, char** argv) {
     if (cli.wants_help()) {
       cli.print_help(
           "udring exhaustive model checker: walks every schedule of a small "
-          "instance (DFS + sleep sets + DPOR backtrack sets + visited-state "
-          "dedup over the replay choice tree, optionally a lock-free shared "
-          "visited set across shards) and proves the goal, or emits a "
-          "replayable counterexample");
+          "instance and proves the goal, or emits a replayable "
+          "counterexample. Default: the serial tree walk (DFS + sleep sets + "
+          "DPOR backtrack sets + visited-state dedup over the replay choice "
+          "tree). --shared-visited: the parallel closure walk over one "
+          "lock-free visited set");
       return 0;
     }
 
@@ -176,7 +181,6 @@ int main(int argc, char** argv) {
     options.shared_visited = shared_visited;
     options.shared_visited_capacity = shared_capacity;
     options.budget_actions = budget;
-    options.frontier_target = frontier;
     options.workers = workers;
 
     const core::Algorithm algorithm = explore::algorithm_from_name(algo_name);
