@@ -36,19 +36,21 @@ void print_report() {
       core::RunSpec spec;
       spec.node_count = worked.n;
       spec.homes = worked.homes;
-      auto simulator = core::make_simulator(core::Algorithm::UnknownRelaxed, spec);
+      const sim::Instance instance =
+          core::make_instance(core::Algorithm::UnknownRelaxed, spec);
+      sim::ExecutionState simulator(instance);
       sim::SynchronousScheduler scheduler;
-      (void)simulator->run(scheduler);
+      (void)simulator.run(scheduler);
       const auto& agent0 = dynamic_cast<const core::UnknownRelaxedAgent&>(
-          simulator->program(0));
+          simulator.program(0));
       const bool uniform =
-          sim::UniformDeploymentOracle(false).check_goal(*simulator).ok;
+          sim::UniformDeploymentOracle(false).check_goal(simulator).ok;
       table.add_row(
           {worked.name, Table::num(worked.n), Table::num(worked.homes.size()),
            Table::num(core::config_symmetry_degree(worked.homes, worked.n)),
            Table::num(agent0.estimated_n()),
-           Table::num(simulator->metrics().total_moves()),
-           Table::num(static_cast<std::size_t>(simulator->metrics().makespan())),
+           Table::num(simulator.metrics().total_moves()),
+           Table::num(static_cast<std::size_t>(simulator.metrics().makespan())),
            uniform ? "yes" : "NO"});
     }
     std::cout << table

@@ -69,15 +69,17 @@ void print_report() {
         core::RunSpec spec;
         spec.node_count = row.n;
         spec.homes = draw_homes(row.family, row.n, row.k, row.l, rng);
-        auto simulator = core::make_simulator(core::Algorithm::KnownKLogMem, spec);
+        const sim::Instance instance =
+            core::make_instance(core::Algorithm::KnownKLogMem, spec);
+        sim::ExecutionState simulator(instance);
         sim::RoundRobinScheduler scheduler;
-        (void)simulator->run(scheduler);
+        (void)simulator.run(scheduler);
         uniform = uniform &&
-                  sim::UniformDeploymentOracle(true).check_goal(*simulator).ok;
+                  sim::UniformDeploymentOracle(true).check_goal(simulator).ok;
         std::size_t count = 0;
         for (sim::AgentId id = 0; id < row.k; ++id) {
           const auto& agent = dynamic_cast<const core::KnownKLogMemAgent&>(
-              simulator->program(id));
+              simulator.program(id));
           if (agent.role() == core::KnownKLogMemAgent::Role::Leader) ++count;
         }
         divides = divides && (row.k % count == 0);
@@ -104,12 +106,14 @@ void print_report() {
         core::RunSpec spec;
         spec.node_count = n;
         spec.homes = gen::random_homes(n, k, rng);
-        auto simulator = core::make_simulator(core::Algorithm::KnownKLogMem, spec);
+        const sim::Instance instance =
+            core::make_instance(core::Algorithm::KnownKLogMem, spec);
+        sim::ExecutionState simulator(instance);
         sim::RoundRobinScheduler scheduler;
-        (void)simulator->run(scheduler);
+        (void)simulator.run(scheduler);
         for (sim::AgentId id = 0; id < k; ++id) {
           const auto& agent = dynamic_cast<const core::KnownKLogMemAgent&>(
-              simulator->program(id));
+              simulator.program(id));
           worst = std::max(worst, agent.sub_phases());
         }
       }

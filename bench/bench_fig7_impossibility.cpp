@@ -22,7 +22,7 @@ using namespace udring::bench;
 
 // One exact lockstep round via the public API (agents enabled at the round
 // boundary act once, in id order).
-bool lockstep_round(sim::Simulator& simulator) {
+bool lockstep_round(sim::ExecutionState& simulator) {
   std::vector<sim::AgentId> enabled = simulator.enabled().list();
   if (enabled.empty()) return false;
   std::sort(enabled.begin(), enabled.end());
@@ -70,7 +70,8 @@ void print_report() {
     };
 
     // Run R to quiescence, counting rounds.
-    sim::Simulator reference(base.n, base.homes, factory);
+    const sim::Instance reference_instance(base.n, base.homes, factory);
+    sim::ExecutionState reference(reference_instance);
     std::size_t rounds = 0;
     while (lockstep_round(reference)) ++rounds;
     const bool r_ok =
@@ -81,8 +82,11 @@ void print_report() {
 
     // Lockstep R vs R', measuring the horizon where the repeated region's
     // local configurations match.
-    sim::Simulator small(base.n, base.homes, factory);
-    sim::Simulator large(instance.node_count, instance.homes, factory);
+    const sim::Instance small_instance(base.n, base.homes, factory);
+    sim::ExecutionState small(small_instance);
+    const sim::Instance large_instance(
+        instance.node_count, instance.homes, factory);
+    sim::ExecutionState large(large_instance);
     const std::size_t qn = q * base.n;
     std::size_t horizon = 0;
     for (std::size_t t = 1; t <= qn; ++t) {
@@ -103,18 +107,22 @@ void print_report() {
     }
 
     // Finish R' and evaluate both verdicts.
-    sim::Simulator verdict(instance.node_count, instance.homes, factory);
+    const sim::Instance verdict_instance(
+        instance.node_count, instance.homes, factory);
+    sim::ExecutionState verdict(verdict_instance);
     sim::RoundRobinScheduler scheduler;
     (void)verdict.run(scheduler);
     const bool rp_ok = sim::UniformDeploymentOracle(true).check_goal(verdict).ok;
 
     sim::SimOptions options;
     options.max_actions = 128 * instance.node_count * instance.homes.size();
-    sim::Simulator relaxed(instance.node_count, instance.homes,
-                           [](sim::AgentId) {
-                             return std::make_unique<core::UnknownRelaxedAgent>();
-                           },
-                           options);
+    const sim::Instance relaxed_instance(
+        instance.node_count, instance.homes,
+        [](sim::AgentId) {
+          return std::make_unique<core::UnknownRelaxedAgent>();
+        },
+        options);
+    sim::ExecutionState relaxed(relaxed_instance);
     sim::RoundRobinScheduler relaxed_scheduler;
     (void)relaxed.run(relaxed_scheduler);
     const bool relaxed_ok =
@@ -141,10 +149,11 @@ void register_timings() {
   benchmark::RegisterBenchmark("fig7/construction/n=30", [](benchmark::State& state) {
     for (auto _ : state) {
       const auto instance = gen::impossibility_ring({0, 1, 4, 9, 11}, 30, 14);
-      sim::Simulator large(instance.node_count, instance.homes,
-                           [](sim::AgentId) {
-                             return std::make_unique<core::PrematureHaltAgent>();
-                           });
+      const sim::Instance large_instance(
+          instance.node_count, instance.homes, [](sim::AgentId) {
+            return std::make_unique<core::PrematureHaltAgent>();
+          });
+      sim::ExecutionState large(large_instance);
       sim::RoundRobinScheduler scheduler;
       const auto result = large.run(scheduler);
       benchmark::DoNotOptimize(result.actions);

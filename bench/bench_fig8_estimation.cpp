@@ -44,22 +44,24 @@ void print_report() {
       core::RunSpec spec;
       spec.node_count = n;
       spec.homes = trap_homes(m, big);
-      auto simulator = core::make_simulator(core::Algorithm::UnknownRelaxed, spec);
+      const sim::Instance instance =
+          core::make_instance(core::Algorithm::UnknownRelaxed, spec);
+      sim::ExecutionState simulator(instance);
       sim::RoundRobinScheduler scheduler;
-      (void)simulator->run(scheduler);
+      (void)simulator.run(scheduler);
 
       std::size_t trapped = 0, exact = 0, corrections = 0;
       bool converged = true;
-      for (sim::AgentId id = 0; id < simulator->agent_count(); ++id) {
+      for (sim::AgentId id = 0; id < simulator.agent_count(); ++id) {
         const auto& agent = dynamic_cast<const core::UnknownRelaxedAgent&>(
-            simulator->program(id));
+            simulator.program(id));
         if (agent.first_estimate_n() == 4) ++trapped;
         if (agent.first_estimate_n() == n) ++exact;
         corrections += agent.corrections();
         converged = converged && agent.estimated_n() == n;
       }
       const bool uniform =
-          sim::UniformDeploymentOracle(false).check_goal(*simulator).ok;
+          sim::UniformDeploymentOracle(false).check_goal(simulator).ok;
       table.add_row({Table::num(m), Table::num(n), Table::num(2 * m + 1),
                      Table::num(trapped), Table::num(exact),
                      Table::num(corrections), converged ? "yes" : "NO",
@@ -90,14 +92,15 @@ void print_report() {
         core::RunSpec spec;
         spec.node_count = n;
         spec.homes = homes;
-        auto simulator =
-            core::make_simulator(core::Algorithm::UnknownRelaxed, spec);
+        const sim::Instance instance =
+            core::make_instance(core::Algorithm::UnknownRelaxed, spec);
+        sim::ExecutionState simulator(instance);
         sim::RoundRobinScheduler scheduler;
-        (void)simulator->run(scheduler);
+        (void)simulator.run(scheduler);
         std::size_t exact = 0;
         for (sim::AgentId id = 0; id < k; ++id) {
           const auto& agent = dynamic_cast<const core::UnknownRelaxedAgent&>(
-              simulator->program(id));
+              simulator.program(id));
           const std::size_t first = agent.first_estimate_n();
           lemma3 = lemma3 && (first == n || 2 * first <= n);
           if (first == n) ++exact;

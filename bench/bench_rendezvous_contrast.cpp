@@ -44,10 +44,12 @@ void print_report() {
         spec.homes = homes;
         // Rendezvous "solves" iff it actually gathers (detecting
         // unsolvability is correct behaviour but not a solution).
-        auto simulator = core::make_simulator(core::Algorithm::Rendezvous, spec);
+        const sim::Instance instance =
+            core::make_instance(core::Algorithm::Rendezvous, spec);
+        sim::ExecutionState simulator(instance);
         sim::RoundRobinScheduler scheduler;
-        (void)simulator->run(scheduler);
-        if (sim::check_gathered(*simulator).ok) rendezvous_rate += 1.0 / seeds;
+        (void)simulator.run(scheduler);
+        if (sim::check_gathered(simulator).ok) rendezvous_rate += 1.0 / seeds;
 
         const core::Algorithm algorithms[] = {core::Algorithm::KnownKFull,
                                               core::Algorithm::KnownKLogMem,

@@ -130,14 +130,11 @@ int main(int argc, char** argv) {
   spec.sim_options.record_events = trace;
 
   if (json) {
-    auto simulator = core::make_simulator(algorithm, spec);
-    auto scheduler =
-        sim::make_scheduler(spec.scheduler, seed, spec.homes.size());
-    (void)simulator->run(*scheduler);
-    sim::write_json(std::cout, *simulator);
+    core::RunContext context;
+    const core::RunReport report = context.run(algorithm, spec);
+    sim::write_json(std::cout, context.state());
     std::cout << "\n";
-    return core::evaluate_goal(algorithm, *simulator).ok ? EXIT_SUCCESS
-                                                         : EXIT_FAILURE;
+    return report.success ? EXIT_SUCCESS : EXIT_FAILURE;
   }
 
   std::cout << "explorer: " << core::to_string(algorithm) << " on "
@@ -147,35 +144,37 @@ int main(int argc, char** argv) {
             << ", l=" << core::config_symmetry_degree(spec.homes, spec.node_count)
             << ") under " << scheduler_name << ", seed " << seed << "\n\n";
 
-  auto simulator = core::make_simulator(algorithm, spec);
-  std::cout << "Initial configuration:\n" << viz::render(*simulator) << "\n";
+  const sim::Instance instance = core::make_instance(algorithm, spec);
+  sim::ExecutionState simulator(instance);
+  std::cout << "Initial configuration:\n" << viz::render(simulator) << "\n";
 
   auto scheduler =
       sim::make_scheduler(spec.scheduler, seed, spec.homes.size());
-  const auto result = simulator->run(*scheduler);
+  const auto result = simulator.run(*scheduler);
 
   if (trace) {
-    std::cout << "Trace (" << simulator->log().events().size() << " events):\n";
-    for (const auto& event : simulator->log().events()) {
+    std::cout << "Trace (" << simulator.log().events().size() << " events):\n";
+    for (const auto& event : simulator.log().events()) {
       std::cout << "  " << event << "\n";
     }
     std::cout << "\n";
   }
 
   std::cout << "Final configuration:\n"
-            << viz::render(*simulator) << "\n"
-            << viz::gap_summary(*simulator) << "\n\n";
+            << viz::render(simulator) << "\n"
+            << viz::gap_summary(simulator) << "\n\n";
 
-  const auto goal = core::evaluate_goal(algorithm, *simulator);
+  const auto goal =
+      core::make_goal_oracle(algorithm, {})->check_goal(simulator);
   Table table({"metric", "value"});
   table.add_row({"outcome", result.quiescent() ? "quiescent" : "ACTION LIMIT"});
   table.add_row({"goal", goal.ok ? "achieved" : "FAILED: " + goal.reason});
   table.add_row({"atomic actions", Table::num(result.actions)});
-  table.add_row({"total moves", Table::num(simulator->metrics().total_moves())});
+  table.add_row({"total moves", Table::num(simulator.metrics().total_moves())});
   table.add_row({"ideal time", Table::num(static_cast<std::size_t>(
-                                    simulator->metrics().makespan()))});
+                                    simulator.metrics().makespan()))});
   table.add_row(
-      {"peak memory bits", Table::num(simulator->metrics().max_memory_bits())});
+      {"peak memory bits", Table::num(simulator.metrics().max_memory_bits())});
   std::cout << table;
   return goal.ok ? EXIT_SUCCESS : EXIT_FAILURE;
 }

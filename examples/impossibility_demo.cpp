@@ -19,8 +19,8 @@
 #include "config/generators.h"
 #include "core/premature_halt.h"
 #include "sim/checker.h"
+#include "sim/execution_state.h"
 #include "sim/scheduler.h"
-#include "sim/simulator.h"
 #include "util/cli.h"
 #include "viz/ascii_ring.h"
 
@@ -40,7 +40,8 @@ int main(int argc, char** argv) {
 
   std::cout << "== Act 1: the strawman looks correct on R (n=" << n << ", k="
             << homes.size() << ") ==\n\n";
-  sim::Simulator small(n, homes, factory);
+  const sim::Instance small_instance(n, homes, factory);
+  sim::ExecutionState small(small_instance);
   sim::SynchronousScheduler small_scheduler;
   (void)small.run(small_scheduler);
   std::cout << viz::render(small) << "\n" << viz::gap_summary(small) << "\n";
@@ -57,7 +58,9 @@ int main(int argc, char** argv) {
             << "configuration " << q + 1 << " times and leaving half the ring "
             << "empty ==\n\n";
 
-  sim::Simulator large(instance.node_count, instance.homes, factory);
+  const sim::Instance large_instance(
+      instance.node_count, instance.homes, factory);
+  sim::ExecutionState large(large_instance);
   sim::SynchronousScheduler large_scheduler;
   (void)large.run(large_scheduler);
 

@@ -56,19 +56,21 @@ int main(int argc, char** argv) {
             << core::config_symmetry_degree(spec.homes, n) << ")\n\n";
 
   // Run Algorithm 1 and keep the simulator around for rendering.
-  auto simulator = core::make_simulator(core::Algorithm::KnownKFull, spec);
+  const sim::Instance instance =
+      core::make_instance(core::Algorithm::KnownKFull, spec);
+  sim::ExecutionState simulator(instance);
   auto scheduler = sim::make_scheduler(spec.scheduler, seed, k);
-  const auto result = simulator->run(*scheduler);
+  const auto result = simulator.run(*scheduler);
 
   std::cout << "Final configuration ('h' = halted):\n"
-            << viz::render(*simulator) << "\n"
-            << viz::gap_summary(*simulator) << "\n\n";
+            << viz::render(simulator) << "\n"
+            << viz::gap_summary(simulator) << "\n\n";
 
-  const auto check = sim::UniformDeploymentOracle(true).check_goal(*simulator);
+  const auto check = sim::UniformDeploymentOracle(true).check_goal(simulator);
   std::cout << "atomic actions: " << result.actions
-            << "\ntotal moves:    " << simulator->metrics().total_moves()
-            << "\nideal time:     " << simulator->metrics().makespan()
-            << "\npeak memory:    " << simulator->metrics().max_memory_bits()
+            << "\ntotal moves:    " << simulator.metrics().total_moves()
+            << "\nideal time:     " << simulator.metrics().makespan()
+            << "\npeak memory:    " << simulator.metrics().max_memory_bits()
             << " bits/agent\nuniform:        " << (check.ok ? "YES" : "NO");
   if (!check.ok) std::cout << "  (" << check.reason << ")";
   std::cout << "\n";

@@ -50,25 +50,27 @@ int main(int argc, char** argv) {
     spec.scheduler = sim::SchedulerKind::Synchronous;
     spec.seed = seed;
 
-    auto simulator = core::make_simulator(core::Algorithm::UnknownRelaxed, spec);
+    const sim::Instance instance =
+        core::make_instance(core::Algorithm::UnknownRelaxed, spec);
+    sim::ExecutionState simulator(instance);
     auto scheduler = sim::make_scheduler(spec.scheduler, seed, k);
-    (void)simulator->run(*scheduler);
-    const auto check = sim::UniformDeploymentOracle(false).check_goal(*simulator);
+    (void)simulator.run(*scheduler);
+    const auto check = sim::UniformDeploymentOracle(false).check_goal(simulator);
     if (!check.ok) {
       std::cerr << "l=" << l << " failed: " << check.reason << "\n";
       return EXIT_FAILURE;
     }
     const auto& agent0 =
-        dynamic_cast<const core::UnknownRelaxedAgent&>(simulator->program(0));
-    const std::size_t moves = simulator->metrics().total_moves();
+        dynamic_cast<const core::UnknownRelaxedAgent&>(simulator.program(0));
+    const std::size_t moves = simulator.metrics().total_moves();
     table.add_row({Table::num(l), Table::num(agent0.estimated_n()),
                    Table::num(moves),
                    Table::num(static_cast<double>(moves) /
                                   static_cast<double>(k * n),
                               2),
                    Table::num(static_cast<std::size_t>(
-                       simulator->metrics().makespan())),
-                   Table::num(simulator->metrics().max_memory_bits())});
+                       simulator.metrics().makespan())),
+                   Table::num(simulator.metrics().max_memory_bits())});
   }
   std::cout << table << "\n";
   std::cout << "Reading the table: every cost column shrinks like 1/l — more\n"

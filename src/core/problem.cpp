@@ -77,7 +77,7 @@ class GatherOracle final : public sim::GoalOracle {
   }
 
   [[nodiscard]] sim::CheckResult check_goal(
-      const sim::Simulator& sim) const override {
+      const sim::ExecutionState& sim) const override {
     bool all_unsolvable = true;
     bool any_unsolvable = false;
     for (sim::AgentId id = 0; id < sim.agent_count(); ++id) {

@@ -86,62 +86,8 @@ sim::Instance make_instance(Algorithm algorithm, const RunSpec& spec) {
       spec.sim_options);
 }
 
-std::unique_ptr<sim::Simulator> make_simulator(Algorithm algorithm,
-                                               const RunSpec& spec) {
-  return std::make_unique<sim::Simulator>(
-      std::make_shared<const sim::Instance>(make_instance(algorithm, spec)));
-}
-
-sim::CheckResult evaluate_goal(Algorithm algorithm, const sim::Simulator& sim) {
-  return make_goal_oracle(algorithm, ProblemSpec{})->check_goal(sim);
-}
-
-namespace {
-
-/// Shared epilogue of the one-shot and pooled paths: oracle + measures.
-RunReport finish_report(const sim::GoalOracle& oracle,
-                        const ProblemSpec& resolved,
-                        const sim::ExecutionState& state,
-                        const sim::Scheduler& scheduler,
-                        const sim::RunResult& result) {
-  RunReport report;
-  report.result = result;
-  report.problem = resolved;
-  if (result.quiescent()) {
-    const sim::CheckResult goal = oracle.check_goal(state);
-    report.success = goal.ok;
-    report.failure = goal.reason;
-  } else {
-    report.success = false;
-    report.failure = "action limit reached (livelock or broken algorithm)";
-  }
-  report.total_moves = state.metrics().total_moves();
-  report.makespan = state.metrics().makespan();
-  report.scheduler_rounds = scheduler.rounds();
-  report.max_memory_bits = state.metrics().max_memory_bits();
-  report.moves_by_phase = state.metrics().moves_by_phase();
-  report.final_positions = state.staying_nodes();
-  if (state.topology().has_labels()) {
-    report.final_labels.reserve(report.final_positions.size());
-    for (const std::size_t v : report.final_positions) {
-      report.final_labels.push_back(state.topology().label(v));
-    }
-  }
-  return report;
-}
-
-}  // namespace
-
 RunReport run_algorithm(Algorithm algorithm, const RunSpec& spec) {
-  const sim::Instance instance = make_instance(algorithm, spec);
-  sim::ExecutionState state;
-  state.reset(instance);
-  auto scheduler =
-      sim::make_scheduler(spec.scheduler, spec.seed, spec.homes.size());
-  const sim::RunResult result = state.run(*scheduler);
-  const auto oracle = make_goal_oracle(algorithm, spec.problem);
-  return finish_report(*oracle, resolve_problem(algorithm, spec.problem),
-                       state, *scheduler, result);
+  return RunContext{}.run(algorithm, spec);
 }
 
 sim::Scheduler& RunContext::scheduler(sim::SchedulerKind kind,
@@ -176,10 +122,33 @@ RunReport RunContext::run(Algorithm algorithm, const RunSpec& spec) {
   state_.reset(*instance_);
   sim::Scheduler& sched =
       scheduler(spec.scheduler, spec.seed, spec.homes.size());
-  const sim::RunResult result = state_.run(sched);
-  return finish_report(oracle(algorithm, spec.problem),
-                       resolve_problem(algorithm, spec.problem), state_, sched,
-                       result);
+  RunReport report;
+  report.result = state_.run(sched);
+  const sim::GoalOracle& goal_oracle = oracle(algorithm, spec.problem);
+  report.problem = resolve_problem(algorithm, spec.problem);
+  if (report.result.quiescent()) {
+    const sim::CheckResult goal = goal_oracle.check_goal(state_);
+    report.success = goal.ok;
+    report.failure = goal.reason;
+  } else {
+    report.success = false;
+    report.failure = "action limit reached (livelock or broken algorithm)";
+  }
+  const sim::Metrics& metrics = state_.metrics();
+  report.total_moves = metrics.total_moves();
+  report.makespan = metrics.makespan();
+  report.scheduler_rounds = sched.rounds();
+  report.max_memory_bits = metrics.max_memory_bits();
+  report.moves_by_phase = metrics.moves_by_phase();
+  report.final_positions = state_.staying_nodes();
+  const sim::Topology& topology = state_.topology();
+  if (topology.has_labels()) {
+    report.final_labels.reserve(report.final_positions.size());
+    for (const std::size_t v : report.final_positions) {
+      report.final_labels.push_back(topology.label(v));
+    }
+  }
+  return report;
 }
 
 std::vector<RunReport> run_many(Algorithm algorithm,

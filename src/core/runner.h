@@ -5,16 +5,15 @@
 // appropriate correctness oracle, and collect the paper's three complexity
 // measures. Tests, benches and examples all go through this layer.
 //
-// Two forms:
-//  - run_algorithm(spec): the historical one-shot — builds everything,
-//    runs, tears down. Right for a single run.
-//  - RunContext + run_many(specs): the pooled form — a RunContext owns a
-//    reusable sim::ExecutionState arena and a per-kind scheduler cache, so
-//    a worker that executes thousands of runs performs O(k) allocations per
-//    run (agent programs + coroutine frames) instead of O(n). run_many
-//    shards a spec list over util::parallel_for_workers with one RunContext
-//    per worker. exp::run_campaign and the src/explore fuzzer sit on the
-//    same machinery.
+// One run path: a RunContext owns a reusable sim::ExecutionState arena, the
+// Instance of its current run and a per-kind scheduler cache, so a worker
+// that executes thousands of runs performs O(k) allocations per run (agent
+// programs + coroutine frames) instead of O(n). run_algorithm(spec) is one
+// run on a fresh RunContext; run_many shards a spec list over
+// util::parallel_for_workers with one RunContext per worker.
+// exp::run_campaign and the src/explore fuzzer sit on the same machinery.
+// A caller that steps the state itself builds the Instance with
+// make_instance and holds it for as long as an ExecutionState points at it.
 
 #pragma once
 
@@ -29,8 +28,9 @@
 
 #include "core/problem.h"
 #include "sim/checker.h"
+#include "sim/execution_state.h"  // IWYU pragma: export
+#include "sim/instance.h"         // IWYU pragma: export
 #include "sim/scheduler.h"
-#include "sim/simulator.h"
 
 namespace udring::core {
 
@@ -99,19 +99,8 @@ struct RunReport {
 /// problem: Definition 1 for the known-k algorithms, Definition 2 for the
 /// relaxed algorithm, gathering for rendezvous/gather-ring — where a
 /// correctly detected unsolvable instance also counts as success —
-/// dispersion for disperse-ring).
+/// dispersion for disperse-ring). One run on a fresh RunContext.
 [[nodiscard]] RunReport run_algorithm(Algorithm algorithm, const RunSpec& spec);
-
-/// Lower-level variant when the caller needs the simulator afterwards:
-/// builds a self-contained simulator (it owns its Instance) without running.
-[[nodiscard]] std::unique_ptr<sim::Simulator> make_simulator(Algorithm algorithm,
-                                                             const RunSpec& spec);
-
-/// Evaluates the algorithm's *natural* goal on a finished simulator.
-/// One-shot convenience over make_goal_oracle; drivers that judge many runs
-/// should build the oracle once instead.
-[[nodiscard]] sim::CheckResult evaluate_goal(Algorithm algorithm,
-                                             const sim::Simulator& sim);
 
 /// A reusable per-worker run arena: one pooled ExecutionState plus a cached
 /// scheduler per SchedulerKind (reseed()ed for every run). Construct once,
@@ -127,7 +116,7 @@ class RunContext {
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
 
-  /// Pooled equivalent of run_algorithm(algorithm, spec).
+  /// Runs `algorithm` on `spec` in the pooled arena (see run_algorithm).
   [[nodiscard]] RunReport run(Algorithm algorithm, const RunSpec& spec);
 
   /// The pooled arena; valid after the first run() until the next one.

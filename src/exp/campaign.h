@@ -5,7 +5,7 @@
 // Every reproduction artifact in this repo — the Table-1 sweep, the figure
 // benches, the stress suites — is the same shape of computation: a grid of
 // scenarios (algorithm × configuration family × scheduler × n × k × l ×
-// seed), each run in an isolated Simulator, reduced to per-cell averages.
+// seed), each run in an isolated ExecutionState, reduced to per-cell averages.
 // The engine makes that shape declarative and parallel:
 //
 //   CampaignGrid grid;
@@ -56,9 +56,9 @@
 #include <vector>
 
 #include "core/runner.h"
+#include "sim/execution_state.h"
 #include "sim/fault.h"
 #include "sim/scheduler.h"
-#include "sim/simulator.h"
 #include "util/parallel.h"
 #include "util/quantile_sketch.h"
 #include "util/rng.h"
@@ -136,7 +136,7 @@ struct CampaignGrid {
   std::vector<std::size_t> symmetries = {1};
   std::size_t seeds = 1;          ///< repetitions per cell
   std::uint64_t base_seed = 1;    ///< root of every scenario substream
-  sim::SimOptions sim_options;    ///< forwarded to every Simulator
+  sim::SimOptions sim_options;    ///< forwarded to every Instance
 };
 
 /// The grid's deterministic expansion (loop order: algorithm, problem,

@@ -4,8 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/execution_state.h"
 #include "sim/fault.h"
-#include "sim/simulator.h"
 
 namespace udring::explore {
 

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "sim/simulator.h"
+#include "sim/execution_state.h"
 
 namespace udring::sim {
 

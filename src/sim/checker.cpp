@@ -60,7 +60,7 @@ CheckResult check_positions_uniform(std::vector<std::size_t> positions,
 
 namespace {
 
-CheckResult check_queues_empty(const Simulator& sim) {
+CheckResult check_queues_empty(const ExecutionState& sim) {
   // O(1) on the pass path: the queued-agent counter is Σ|q_v|. Only a
   // failure walks the ring, to name the first occupied queue.
   if (sim.queued_agents() == 0) return CheckResult::pass();
@@ -75,7 +75,7 @@ CheckResult check_queues_empty(const Simulator& sim) {
   return CheckResult::pass();
 }
 
-CheckResult check_all_status(const Simulator& sim, AgentStatus wanted) {
+CheckResult check_all_status(const ExecutionState& sim, AgentStatus wanted) {
   for (AgentId id = 0; id < sim.agent_count(); ++id) {
     // Crash-stop corpses (sim/fault.h) are exempt: a goal is judged over
     // the agents that can still act — a dead agent can neither halt nor
@@ -94,7 +94,7 @@ CheckResult check_all_status(const Simulator& sim, AgentStatus wanted) {
 }
 
 /// Number of agents not dead by a crash-stop fault.
-std::size_t live_agent_count(const Simulator& sim) {
+std::size_t live_agent_count(const ExecutionState& sim) {
   std::size_t live = 0;
   for (AgentId id = 0; id < sim.agent_count(); ++id) {
     if (sim.status(id) != AgentStatus::Crashed) ++live;
@@ -107,7 +107,7 @@ std::size_t live_agent_count(const Simulator& sim) {
 /// over. Unlike ExecutionState::staying_nodes() this excludes crashed
 /// corpses: a corpse occupies its node physically but is not a deployed
 /// agent. On fault-free runs the two are identical.
-std::vector<NodeId> live_staying_nodes(const Simulator& sim) {
+std::vector<NodeId> live_staying_nodes(const ExecutionState& sim) {
   std::vector<NodeId> nodes;
   nodes.reserve(sim.agent_count());
   for (AgentId id = 0; id < sim.agent_count(); ++id) {
@@ -129,7 +129,8 @@ std::vector<NodeId> live_staying_nodes(const Simulator& sim) {
 
 }  // namespace
 
-CheckResult UniformDeploymentOracle::check_goal(const Simulator& sim) const {
+CheckResult UniformDeploymentOracle::check_goal(
+    const ExecutionState& sim) const {
   if (require_termination_) {
     // Definition 1: halted agents, drained links, uniform positions.
     if (auto r = check_all_status(sim, AgentStatus::Halted); !r) return r;
@@ -153,7 +154,7 @@ CheckResult UniformDeploymentOracle::check_goal(const Simulator& sim) const {
   return check_positions_uniform(live_staying_nodes(sim), sim.node_count());
 }
 
-CheckResult check_model_invariants(const Simulator& sim,
+CheckResult check_model_invariants(const ExecutionState& sim,
                                    std::size_t min_expected_tokens) {
   return invariants::check(sim, min_expected_tokens);
 }
@@ -256,7 +257,7 @@ CheckResult IncrementalInvariantChecker::check_after_action(
   return CheckResult::pass();
 }
 
-CheckResult check_gathered(const Simulator& sim) {
+CheckResult check_gathered(const ExecutionState& sim) {
   const std::vector<NodeId> nodes = live_staying_nodes(sim);
   if (nodes.size() != live_agent_count(sim)) {
     return CheckResult::fail("not all agents are staying");
@@ -272,7 +273,7 @@ CheckResult check_gathered(const Simulator& sim) {
   return CheckResult::pass();
 }
 
-CheckResult check_partial_gathering(const Simulator& sim, std::size_t g) {
+CheckResult check_partial_gathering(const ExecutionState& sim, std::size_t g) {
   if (auto r = check_all_status(sim, AgentStatus::Halted); !r) return r;
   if (auto r = check_queues_empty(sim); !r) return r;
   if (g <= 1) return CheckResult::pass();
@@ -291,7 +292,7 @@ CheckResult check_partial_gathering(const Simulator& sim, std::size_t g) {
   return CheckResult::pass();
 }
 
-CheckResult check_dispersed(const Simulator& sim) {
+CheckResult check_dispersed(const ExecutionState& sim) {
   if (auto r = check_all_status(sim, AgentStatus::Halted); !r) return r;
   if (auto r = check_queues_empty(sim); !r) return r;
   std::vector<NodeId> nodes = live_staying_nodes(sim);
@@ -310,7 +311,7 @@ CheckResult check_dispersed(const Simulator& sim) {
 }
 
 CheckResult GoalOracle::check_action(
-    const Simulator& sim, std::size_t min_expected_tokens,
+    const ExecutionState& sim, std::size_t min_expected_tokens,
     IncrementalInvariantChecker* incremental) const {
   return incremental != nullptr
              ? incremental->check_after_action(sim, min_expected_tokens)

@@ -23,7 +23,7 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/simulator.h"
+#include "sim/execution_state.h"
 
 namespace udring::sim {
 
@@ -67,7 +67,7 @@ struct CheckResult {
 /// (invariants::walk in sim/model_invariants.h), so failure verdicts and
 /// reasons are the walk's, exactly. Allocation-free on the pass path
 /// (thread-local scratch).
-[[nodiscard]] CheckResult check_model_invariants(const Simulator& sim,
+[[nodiscard]] CheckResult check_model_invariants(const ExecutionState& sim,
                                                  std::size_t min_expected_tokens);
 
 /// Incremental form of check_model_invariants: instead of visiting the
@@ -143,20 +143,20 @@ class IncrementalInvariantChecker {
 
 /// Rendezvous oracle for the baseline contrast: all staying agents at one
 /// node.
-[[nodiscard]] CheckResult check_gathered(const Simulator& sim);
+[[nodiscard]] CheckResult check_gathered(const ExecutionState& sim);
 
 /// g-partial gathering: every agent halted, every link queue empty, and
 /// every occupied node hosts at least g co-located agents. g <= 1 reduces
 /// to plain termination. This is the pure configuration predicate; it knows
 /// nothing about algorithm-detected unsolvability (core::make_goal_oracle
 /// layers that on top for unsolvability-aware algorithms).
-[[nodiscard]] CheckResult check_partial_gathering(const Simulator& sim,
+[[nodiscard]] CheckResult check_partial_gathering(const ExecutionState& sim,
                                                   std::size_t g);
 
 /// Dispersion: every agent halted, every link queue empty, and every
 /// occupied node hosts exactly one settled agent (all final positions
 /// distinct).
-[[nodiscard]] CheckResult check_dispersed(const Simulator& sim);
+[[nodiscard]] CheckResult check_dispersed(const ExecutionState& sim);
 
 /// The problem-agnostic verification interface every driver (core runner,
 /// fuzzer, model checker, campaign engine) routes through.
@@ -186,13 +186,14 @@ class GoalOracle {
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
   /// Judges a quiescent configuration against the problem's goal.
-  [[nodiscard]] virtual CheckResult check_goal(const Simulator& sim) const = 0;
+  [[nodiscard]] virtual CheckResult check_goal(
+      const ExecutionState& sim) const = 0;
 
   /// Per-action invariant hook; called by drivers after every atomic
   /// action. `incremental` is the caller's pooled checker (nullptr = run
   /// check_model_invariants).
   [[nodiscard]] virtual CheckResult check_action(
-      const Simulator& sim, std::size_t min_expected_tokens,
+      const ExecutionState& sim, std::size_t min_expected_tokens,
       IncrementalInvariantChecker* incremental = nullptr) const;
 };
 
@@ -207,7 +208,8 @@ class UniformDeploymentOracle final : public GoalOracle {
     return require_termination_ ? "uniform-deployment"
                                 : "uniform-deployment-relaxed";
   }
-  [[nodiscard]] CheckResult check_goal(const Simulator& sim) const override;
+  [[nodiscard]] CheckResult check_goal(
+      const ExecutionState& sim) const override;
 
  private:
   bool require_termination_;
@@ -222,7 +224,8 @@ class PartialGatheringOracle final : public GoalOracle {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "g-partial-gathering";
   }
-  [[nodiscard]] CheckResult check_goal(const Simulator& sim) const override {
+  [[nodiscard]] CheckResult check_goal(
+      const ExecutionState& sim) const override {
     return check_partial_gathering(sim, g_);
   }
   [[nodiscard]] std::size_t g() const noexcept { return g_; }
@@ -237,7 +240,8 @@ class DispersionOracle final : public GoalOracle {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "dispersion";
   }
-  [[nodiscard]] CheckResult check_goal(const Simulator& sim) const override {
+  [[nodiscard]] CheckResult check_goal(
+      const ExecutionState& sim) const override {
     return check_dispersed(sim);
   }
 };

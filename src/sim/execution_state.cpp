@@ -10,23 +10,7 @@
 
 namespace udring::sim {
 
-ExecutionState::ExecutionState(std::size_t node_count, std::vector<NodeId> homes,
-                               const ProgramFactory& factory, SimOptions options)
-    : ExecutionState(std::make_shared<const Instance>(
-          Topology::ring(node_count), std::move(homes), factory, options)) {}
-
-ExecutionState::ExecutionState(std::shared_ptr<const Instance> instance)
-    : owned_instance_(std::move(instance)) {
-  if (!owned_instance_) {
-    throw std::invalid_argument("ExecutionState: null instance");
-  }
-  reset(*owned_instance_);
-}
-
 void ExecutionState::reset(const Instance& instance) {
-  // Release the previously-owned instance only if it is not the one being
-  // reset onto (re-running a legacy-constructed simulator stays valid).
-  if (owned_instance_.get() != &instance) owned_instance_.reset();
   instance_ = &instance;
   topo_ = &instance.topology();
   options_ = instance.options();
@@ -676,26 +660,6 @@ void ExecutionState::agent_broadcast(AgentId id, Message message) {
 
 void ExecutionState::agent_set_phase(AgentId id, std::size_t phase) {
   metrics_.agent(id).phase = phase;
-}
-
-// ---- batching ---------------------------------------------------------------
-
-std::size_t run_batch(
-    ExecutionState& state, const std::vector<const Instance*>& instances,
-    const std::function<Scheduler&(std::size_t)>& scheduler_for,
-    const std::function<void(std::size_t, const ExecutionState&,
-                             const RunResult&)>& consume) {
-  std::size_t executed = 0;
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    if (instances[i] == nullptr) {
-      throw std::invalid_argument("run_batch: null instance");
-    }
-    state.reset(*instances[i]);
-    const RunResult result = state.run(scheduler_for(i));
-    if (consume) consume(i, state, result);
-    ++executed;
-  }
-  return executed;
 }
 
 }  // namespace udring::sim

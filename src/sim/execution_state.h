@@ -1,7 +1,7 @@
 // udring/sim/execution_state.h
 //
-// ExecutionState — the *mutable* half of a run (and, via the legacy
-// constructor, the class the rest of the repo has always called Simulator).
+// ExecutionState — the *mutable* half of a run. It points at the immutable
+// half, a caller-owned sim::Instance (sim/instance.h), and never owns it.
 //
 // An ExecutionState owns a global configuration C = (S, T, M, P, Q) exactly
 // as Table 2 of the paper defines it:
@@ -42,7 +42,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -98,15 +97,11 @@ class ExecutionState {
   /// pooled form — construct once per worker, reset per run.
   ExecutionState() = default;
 
-  /// Legacy one-shot form (the historical Simulator constructor): builds and
-  /// *owns* a ring Instance, then resets onto it. Programs are created
-  /// immediately; their coroutines start at the first scheduled action.
-  ExecutionState(std::size_t node_count, std::vector<NodeId> homes,
-                 const ProgramFactory& factory, SimOptions options = {});
-
-  /// Owns `instance` (shared) and resets onto it — for callers that need a
-  /// self-contained simulator with a non-ring topology (core::make_simulator).
-  explicit ExecutionState(std::shared_ptr<const Instance> instance);
+  /// The one-shot form: default construction plus reset(instance). The
+  /// state points at `instance`, which the caller owns and must keep alive
+  /// (see reset()); a temporary Instance is rejected at compile time.
+  explicit ExecutionState(const Instance& instance) { reset(instance); }
+  ExecutionState(Instance&&) = delete;
 
   ExecutionState(const ExecutionState&) = delete;
   ExecutionState& operator=(const ExecutionState&) = delete;
@@ -363,7 +358,6 @@ class ExecutionState {
   void agent_broadcast(AgentId id, Message message);
   void agent_set_phase(AgentId id, std::size_t phase);
 
-  std::shared_ptr<const Instance> owned_instance_;  // legacy ctors only
   const Instance* instance_ = nullptr;
   const Topology* topo_ = nullptr;                 // == &instance_->topology()
   SimOptions options_;                             // copy for hot-path access
@@ -394,20 +388,5 @@ class ExecutionState {
   std::size_t drops_remaining_ = 0;
   std::size_t dups_remaining_ = 0;
 };
-
-/// Historical name, kept so the execution engine reads as "the simulator"
-/// everywhere a run is one-shot. The pooled APIs say ExecutionState.
-using Simulator = ExecutionState;
-
-/// Runs `instances` back to back on one pooled `state` (the serial pooling
-/// primitive; core::run_many adds the worker sharding on top). For each
-/// index i: state.reset(*instances[i]), then run under scheduler_for(i),
-/// then consume(i, state, result) while the state still holds the finished
-/// configuration. Returns the number of runs executed.
-std::size_t run_batch(
-    ExecutionState& state, const std::vector<const Instance*>& instances,
-    const std::function<Scheduler&(std::size_t)>& scheduler_for,
-    const std::function<void(std::size_t, const ExecutionState&,
-                             const RunResult&)>& consume);
 
 }  // namespace udring::sim

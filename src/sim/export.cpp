@@ -58,7 +58,7 @@ void write_json(std::ostream& out, const Metrics& metrics) {
   out << "]}";
 }
 
-void write_json(std::ostream& out, const Simulator& simulator) {
+void write_json(std::ostream& out, const ExecutionState& simulator) {
   out << "{\"quiescent\":" << (simulator.quiescent() ? "true" : "false")
       << ",\"all_halted\":" << (simulator.all_halted() ? "true" : "false")
       << ",\"all_suspended\":" << (simulator.all_suspended() ? "true" : "false")
@@ -81,7 +81,7 @@ std::string to_json(const Metrics& metrics) {
   return out.str();
 }
 
-std::string to_json(const Simulator& simulator) {
+std::string to_json(const ExecutionState& simulator) {
   std::ostringstream out;
   write_json(out, simulator);
   return out.str();

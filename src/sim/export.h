@@ -10,8 +10,8 @@
 #include <iosfwd>
 #include <string>
 
+#include "sim/execution_state.h"
 #include "sim/metrics.h"
-#include "sim/simulator.h"
 
 namespace udring::sim {
 
@@ -28,11 +28,11 @@ void write_json(std::ostream& out, const Snapshot& snapshot);
 void write_json(std::ostream& out, const Metrics& metrics);
 
 /// One-call export of a finished simulator (snapshot + metrics + verdicts).
-void write_json(std::ostream& out, const Simulator& simulator);
+void write_json(std::ostream& out, const ExecutionState& simulator);
 
 /// Convenience: JSON string forms.
 [[nodiscard]] std::string to_json(const Snapshot& snapshot);
 [[nodiscard]] std::string to_json(const Metrics& metrics);
-[[nodiscard]] std::string to_json(const Simulator& simulator);
+[[nodiscard]] std::string to_json(const ExecutionState& simulator);
 
 }  // namespace udring::sim

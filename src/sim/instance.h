@@ -8,13 +8,13 @@
 // an ExecutionState is the mutable arena that executes it. One Instance can
 // be executed any number of times, concurrently, by different
 // ExecutionStates — it is never written after construction — which is what
-// makes pooled batch drivers (sim::run_batch, core::run_many,
-// exp::run_campaign) safe and allocation-free in steady state.
+// makes pooled batch drivers (core::run_many, exp::run_campaign) safe and
+// allocation-free in steady state.
 //
-// Lifetime contract: an ExecutionState holds a plain pointer to the
-// Instance it was last reset() onto. The Instance must stay alive until the
-// state is reset onto another one (or destroyed). The convenience Simulator
-// constructor sidesteps the question by owning its Instance.
+// Lifetime contract: the caller owns the Instance. An ExecutionState holds
+// a plain pointer to the Instance it was last constructed or reset() onto,
+// so the Instance must stay alive until the state is reset onto another one
+// (or destroyed). Nothing else owns an Instance.
 
 #pragma once
 

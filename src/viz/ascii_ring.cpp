@@ -72,11 +72,11 @@ std::string render(const sim::Snapshot& snapshot, std::size_t columns) {
   return out.str();
 }
 
-std::string render(const sim::Simulator& simulator, std::size_t columns) {
+std::string render(const sim::ExecutionState& simulator, std::size_t columns) {
   return render(simulator.snapshot(), columns);
 }
 
-std::string gap_summary(const sim::Simulator& simulator) {
+std::string gap_summary(const sim::ExecutionState& simulator) {
   const std::vector<std::size_t> positions = simulator.staying_nodes();
   std::ostringstream out;
   if (positions.empty()) return "gaps: (no staying agents)";

@@ -16,7 +16,7 @@
 #include <iosfwd>
 #include <string>
 
-#include "sim/simulator.h"
+#include "sim/execution_state.h"
 
 namespace udring::viz {
 
@@ -25,10 +25,10 @@ namespace udring::viz {
                                  std::size_t columns = 24);
 
 /// Convenience: snapshot + render.
-[[nodiscard]] std::string render(const sim::Simulator& simulator,
+[[nodiscard]] std::string render(const sim::ExecutionState& simulator,
                                  std::size_t columns = 24);
 
 /// One-line gap summary, e.g. "gaps: 3 3 3 4 (⌊n/k⌋=3, ⌈n/k⌉=4)".
-[[nodiscard]] std::string gap_summary(const sim::Simulator& simulator);
+[[nodiscard]] std::string gap_summary(const sim::ExecutionState& simulator);
 
 }  // namespace udring::viz

@@ -16,8 +16,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/execution_state.h"
 #include "sim/scheduler.h"
-#include "sim/simulator.h"
 
 namespace udring::test {
 
@@ -25,7 +25,7 @@ namespace udring::test {
 /// at the round boundary acts once, in ascending id order (agents that
 /// become enabled mid-round wait for the next round). Returns false when the
 /// simulator was quiescent.
-inline bool lockstep_round(sim::Simulator& simulator) {
+inline bool lockstep_round(sim::ExecutionState& simulator) {
   std::vector<sim::AgentId> enabled = simulator.enabled().list();
   if (enabled.empty()) return false;
   std::sort(enabled.begin(), enabled.end());

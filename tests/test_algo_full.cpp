@@ -71,11 +71,12 @@ TEST(AlgoFull, MeasuresRingExactly) {
   RunSpec spec;
   spec.node_count = 13;
   spec.homes = {0, 1, 5, 11};
-  auto simulator = make_simulator(Algorithm::KnownKFull, spec);
+  const sim::Instance instance = make_instance(Algorithm::KnownKFull, spec);
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
-  (void)simulator->run(scheduler);
+  (void)simulator.run(scheduler);
   for (sim::AgentId id = 0; id < 4; ++id) {
-    const auto& agent = dynamic_cast<const KnownKFullAgent&>(simulator->program(id));
+    const auto& agent = dynamic_cast<const KnownKFullAgent&>(simulator.program(id));
     EXPECT_EQ(agent.measured_n(), 13u);
     EXPECT_EQ(sum(agent.distance_sequence()), 13u);
     EXPECT_EQ(agent.distance_sequence().size(), 4u);
@@ -88,13 +89,14 @@ TEST(AlgoFull, RanksArePerBaseAndDistinct) {
   RunSpec spec;
   spec.node_count = 12;
   spec.homes = {0, 1, 3, 6, 7, 9};
-  auto simulator = make_simulator(Algorithm::KnownKFull, spec);
+  const sim::Instance instance = make_instance(Algorithm::KnownKFull, spec);
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
-  (void)simulator->run(scheduler);
+  (void)simulator.run(scheduler);
   std::vector<std::size_t> ranks;
   for (sim::AgentId id = 0; id < 6; ++id) {
     ranks.push_back(
-        dynamic_cast<const KnownKFullAgent&>(simulator->program(id)).rank());
+        dynamic_cast<const KnownKFullAgent&>(simulator.program(id)).rank());
   }
   std::sort(ranks.begin(), ranks.end());
   EXPECT_EQ(ranks, (std::vector<std::size_t>{0, 0, 1, 1, 2, 2}));
@@ -188,13 +190,14 @@ TEST(AlgoFullKnownN, MeasuresKAndDeploysUniformly) {
   RunSpec spec;
   spec.node_count = 13;
   spec.homes = {0, 1, 5, 11};
-  auto simulator = make_simulator(Algorithm::KnownNFull, spec);
+  const sim::Instance instance = make_instance(Algorithm::KnownNFull, spec);
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
-  (void)simulator->run(scheduler);
-  ASSERT_TRUE(sim::UniformDeploymentOracle(true).check_goal(*simulator).ok);
+  (void)simulator.run(scheduler);
+  ASSERT_TRUE(sim::UniformDeploymentOracle(true).check_goal(simulator).ok);
   for (sim::AgentId id = 0; id < 4; ++id) {
     const auto& agent =
-        dynamic_cast<const KnownNFullAgent&>(simulator->program(id));
+        dynamic_cast<const KnownNFullAgent&>(simulator.program(id));
     EXPECT_EQ(agent.measured_k(), 4u);
     EXPECT_EQ(sum(agent.distance_sequence()), 13u);
   }

@@ -21,7 +21,8 @@
 namespace udring::core {
 namespace {
 
-std::vector<const KnownKLogMemAgent*> agents_of(const sim::Simulator& sim) {
+std::vector<const KnownKLogMemAgent*> agents_of(
+    const sim::ExecutionState& sim) {
   std::vector<const KnownKLogMemAgent*> agents;
   for (sim::AgentId id = 0; id < sim.agent_count(); ++id) {
     agents.push_back(dynamic_cast<const KnownKLogMemAgent*>(&sim.program(id)));
@@ -33,11 +34,12 @@ TEST(AlgoLogMem, SingleAgentBecomesSoleLeader) {
   RunSpec spec;
   spec.node_count = 9;
   spec.homes = {4};
-  auto simulator = make_simulator(Algorithm::KnownKLogMem, spec);
+  const sim::Instance instance = make_instance(Algorithm::KnownKLogMem, spec);
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
-  (void)simulator->run(scheduler);
-  EXPECT_TRUE(sim::UniformDeploymentOracle(true).check_goal(*simulator).ok);
-  const auto agents = agents_of(*simulator);
+  (void)simulator.run(scheduler);
+  EXPECT_TRUE(sim::UniformDeploymentOracle(true).check_goal(simulator).ok);
+  const auto agents = agents_of(simulator);
   EXPECT_EQ(agents[0]->role(), KnownKLogMemAgent::Role::Leader);
   EXPECT_EQ(agents[0]->measured_n(), 9u);
 }
@@ -47,13 +49,14 @@ TEST(AlgoLogMem, Fig5ElectsThreeLeaders) {
   RunSpec spec;
   spec.node_count = gen::kFig5Nodes;
   spec.homes = gen::fig5_homes();
-  auto simulator = make_simulator(Algorithm::KnownKLogMem, spec);
+  const sim::Instance instance = make_instance(Algorithm::KnownKLogMem, spec);
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
-  (void)simulator->run(scheduler);
-  ASSERT_TRUE(sim::UniformDeploymentOracle(true).check_goal(*simulator).ok);
+  (void)simulator.run(scheduler);
+  ASSERT_TRUE(sim::UniformDeploymentOracle(true).check_goal(simulator).ok);
 
   std::size_t leaders = 0;
-  for (const auto* agent : agents_of(*simulator)) {
+  for (const auto* agent : agents_of(simulator)) {
     if (agent->role() == KnownKLogMemAgent::Role::Leader) {
       ++leaders;
       EXPECT_EQ(agent->id_distance(), 6u) << "leader segments span 6 nodes";
@@ -74,16 +77,17 @@ TEST(AlgoLogMem, BaseNodeConditionsHold) {
     RunSpec spec;
     spec.node_count = n;
     spec.homes = gen::random_homes(n, k, rng);
-    auto simulator = make_simulator(Algorithm::KnownKLogMem, spec);
+    const sim::Instance instance = make_instance(Algorithm::KnownKLogMem, spec);
+    sim::ExecutionState simulator(instance);
     sim::RoundRobinScheduler scheduler;
-    (void)simulator->run(scheduler);
-    ASSERT_TRUE(sim::UniformDeploymentOracle(true).check_goal(*simulator).ok);
+    (void)simulator.run(scheduler);
+    ASSERT_TRUE(sim::UniformDeploymentOracle(true).check_goal(simulator).ok);
 
     std::vector<std::size_t> leader_homes;
-    const auto agents = agents_of(*simulator);
+    const auto agents = agents_of(simulator);
     for (sim::AgentId id = 0; id < k; ++id) {
       if (agents[id]->role() == KnownKLogMemAgent::Role::Leader) {
-        leader_homes.push_back(simulator->homes()[id]);
+        leader_homes.push_back(simulator.homes()[id]);
       }
     }
     ASSERT_GE(leader_homes.size(), 1u) << "n=" << n << " k=" << k;
@@ -94,7 +98,7 @@ TEST(AlgoLogMem, BaseNodeConditionsHold) {
     const std::size_t b = leader_homes.size();
     std::set<std::size_t> gaps;
     std::set<std::size_t> counts;
-    std::vector<std::size_t> homes = simulator->homes();
+    std::vector<std::size_t> homes = simulator.homes();
     std::sort(homes.begin(), homes.end());
     for (std::size_t i = 0; i < b; ++i) {
       const std::size_t from = leader_homes[i];
@@ -122,10 +126,11 @@ TEST(AlgoLogMem, SubPhaseCountWithinCeilLogK) {
     RunSpec spec;
     spec.node_count = n;
     spec.homes = gen::random_homes(n, k, rng);
-    auto simulator = make_simulator(Algorithm::KnownKLogMem, spec);
+    const sim::Instance instance = make_instance(Algorithm::KnownKLogMem, spec);
+    sim::ExecutionState simulator(instance);
     sim::RoundRobinScheduler scheduler;
-    (void)simulator->run(scheduler);
-    for (const auto* agent : agents_of(*simulator)) {
+    (void)simulator.run(scheduler);
+    for (const auto* agent : agents_of(simulator)) {
       EXPECT_LE(agent->sub_phases(), udring::ceil_log2(k) + 1)
           << "n=" << n << " k=" << k;
     }
@@ -199,11 +204,13 @@ TEST(AlgoLogMemStrict, SurvivesEveryPriorityPermutation) {
   std::vector<sim::AgentId> perm = {0, 1, 2, 3, 4, 5};
   std::size_t schedules = 0;
   do {
-    auto simulator = make_simulator(Algorithm::KnownKLogMemStrict, spec);
+    const sim::Instance instance =
+        make_instance(Algorithm::KnownKLogMemStrict, spec);
+    sim::ExecutionState simulator(instance);
     sim::PriorityScheduler scheduler(perm);
-    const sim::RunResult result = simulator->run(scheduler);
+    const sim::RunResult result = simulator.run(scheduler);
     ASSERT_TRUE(result.quiescent());
-    const auto check = sim::UniformDeploymentOracle(true).check_goal(*simulator);
+    const auto check = sim::UniformDeploymentOracle(true).check_goal(simulator);
     ASSERT_TRUE(check.ok) << "perm " << ::testing::PrintToString(perm) << ": "
                           << check.reason;
     ++schedules;
@@ -214,11 +221,13 @@ TEST(AlgoLogMemStrict, SurvivesEveryPriorityPermutation) {
 TEST(AlgoLogMemStrict, SurvivesRandomAdversaries) {
   const RunSpec spec = stress_spec();
   for (std::uint64_t seed = 0; seed < 300; ++seed) {
-    auto simulator = make_simulator(Algorithm::KnownKLogMemStrict, spec);
+    const sim::Instance instance =
+        make_instance(Algorithm::KnownKLogMemStrict, spec);
+    sim::ExecutionState simulator(instance);
     sim::RandomScheduler scheduler(seed);
-    const sim::RunResult result = simulator->run(scheduler);
+    const sim::RunResult result = simulator.run(scheduler);
     ASSERT_TRUE(result.quiescent());
-    const auto check = sim::UniformDeploymentOracle(true).check_goal(*simulator);
+    const auto check = sim::UniformDeploymentOracle(true).check_goal(simulator);
     ASSERT_TRUE(check.ok) << "seed " << seed << ": " << check.reason;
   }
 }
@@ -228,16 +237,18 @@ TEST(AlgoLogMemStrict, LaggingLeaderIsPushedHomeJustInTime) {
   // probing node 0 queues behind it in node 0's link queue, so the leader's
   // halt lands first and the follower finds the base occupied.
   const RunSpec spec = stress_spec();
-  auto simulator = make_simulator(Algorithm::KnownKLogMemStrict, spec);
+  const sim::Instance instance =
+      make_instance(Algorithm::KnownKLogMemStrict, spec);
+  sim::ExecutionState simulator(instance);
   sim::PriorityScheduler scheduler({0, 1, 2, 4, 5, 3});
-  const sim::RunResult result = simulator->run(scheduler);
+  const sim::RunResult result = simulator.run(scheduler);
   ASSERT_TRUE(result.quiescent());
-  const auto check = sim::UniformDeploymentOracle(true).check_goal(*simulator);
+  const auto check = sim::UniformDeploymentOracle(true).check_goal(simulator);
   ASSERT_TRUE(check.ok) << check.reason;
   // The starved leader still ends on a base node (0 or 6).
-  const auto agents = agents_of(*simulator);
+  const auto agents = agents_of(simulator);
   ASSERT_EQ(agents[3]->role(), KnownKLogMemAgent::Role::Leader);
-  const std::size_t leader_node = simulator->agent_node(3);
+  const std::size_t leader_node = simulator.agent_node(3);
   EXPECT_TRUE(leader_node == 0 || leader_node == 6) << "at " << leader_node;
 }
 
@@ -245,11 +256,12 @@ TEST(AlgoLogMemFixed, HardenedVariantSurvivesTheSameAdversaries) {
   const RunSpec spec = stress_spec();
   std::vector<sim::AgentId> perm = {0, 1, 2, 3, 4, 5};
   do {
-    auto simulator = make_simulator(Algorithm::KnownKLogMem, spec);
+    const sim::Instance instance = make_instance(Algorithm::KnownKLogMem, spec);
+    sim::ExecutionState simulator(instance);
     sim::PriorityScheduler scheduler(perm);
-    const sim::RunResult result = simulator->run(scheduler);
+    const sim::RunResult result = simulator.run(scheduler);
     ASSERT_TRUE(result.quiescent());
-    const auto check = sim::UniformDeploymentOracle(true).check_goal(*simulator);
+    const auto check = sim::UniformDeploymentOracle(true).check_goal(simulator);
     ASSERT_TRUE(check.ok) << "perm " << ::testing::PrintToString(perm) << ": "
                           << check.reason;
   } while (std::next_permutation(perm.begin(), perm.end()));

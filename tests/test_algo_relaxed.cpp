@@ -21,7 +21,8 @@
 namespace udring::core {
 namespace {
 
-std::vector<const UnknownRelaxedAgent*> agents_of(const sim::Simulator& sim) {
+std::vector<const UnknownRelaxedAgent*> agents_of(
+    const sim::ExecutionState& sim) {
   std::vector<const UnknownRelaxedAgent*> agents;
   for (sim::AgentId id = 0; id < sim.agent_count(); ++id) {
     agents.push_back(dynamic_cast<const UnknownRelaxedAgent*>(&sim.program(id)));
@@ -44,12 +45,13 @@ TEST(AlgoRelaxed, SingleAgentEstimatesExactlyAndSuspends) {
   RunSpec spec;
   spec.node_count = 9;
   spec.homes = {2};
-  auto simulator = make_simulator(Algorithm::UnknownRelaxed, spec);
+  const sim::Instance instance = make_instance(Algorithm::UnknownRelaxed, spec);
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
-  const auto result = simulator->run(scheduler);
+  const auto result = simulator.run(scheduler);
   ASSERT_TRUE(result.quiescent());
-  EXPECT_TRUE(simulator->all_suspended());
-  const auto agents = agents_of(*simulator);
+  EXPECT_TRUE(simulator.all_suspended());
+  const auto agents = agents_of(simulator);
   EXPECT_EQ(agents[0]->estimated_n(), 9u);
   EXPECT_EQ(agents[0]->estimated_k(), 1u);
   EXPECT_EQ(agents[0]->nodes_visited(), 9u * 12u)
@@ -62,15 +64,16 @@ TEST(AlgoRelaxed, Fig9TrappedAgentFirstEstimatesFour) {
   RunSpec spec;
   spec.node_count = gen::kFig9Nodes;
   spec.homes = gen::fig9_homes();  // {0, 11, 12, 15, 16, 19, 20, 23, 24}
-  auto simulator = make_simulator(Algorithm::UnknownRelaxed, spec);
+  const sim::Instance instance = make_instance(Algorithm::UnknownRelaxed, spec);
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
-  const auto result = simulator->run(scheduler);
+  const auto result = simulator.run(scheduler);
   ASSERT_TRUE(result.quiescent());
 
-  const auto agents = agents_of(*simulator);
+  const auto agents = agents_of(simulator);
   std::size_t trapped = 0;
   std::size_t exact = 0;
-  for (sim::AgentId id = 0; id < simulator->agent_count(); ++id) {
+  for (sim::AgentId id = 0; id < simulator.agent_count(); ++id) {
     const std::size_t first = agents[id]->first_estimate_n();
     if (first == 4) ++trapped;
     if (first == 27) ++exact;
@@ -82,7 +85,7 @@ TEST(AlgoRelaxed, Fig9TrappedAgentFirstEstimatesFour) {
   EXPECT_GE(trapped, 1u) << "the (1,3)⁴ window must trap at least one agent";
   EXPECT_GE(exact, 1u) << "Lemma 4: someone estimates n exactly";
 
-  const auto check = sim::UniformDeploymentOracle(false).check_goal(*simulator);
+  const auto check = sim::UniformDeploymentOracle(false).check_goal(simulator);
   EXPECT_TRUE(check.ok) << check.reason;
 }
 
@@ -90,11 +93,12 @@ TEST(AlgoRelaxed, TrappedAgentsAreCorrectedByMessages) {
   RunSpec spec;
   spec.node_count = gen::kFig9Nodes;
   spec.homes = gen::fig9_homes();
-  auto simulator = make_simulator(Algorithm::UnknownRelaxed, spec);
+  const sim::Instance instance = make_instance(Algorithm::UnknownRelaxed, spec);
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
-  (void)simulator->run(scheduler);
+  (void)simulator.run(scheduler);
   std::size_t total_corrections = 0;
-  for (const auto* agent : agents_of(*simulator)) {
+  for (const auto* agent : agents_of(simulator)) {
     total_corrections += agent->corrections();
   }
   EXPECT_GE(total_corrections, 1u)
@@ -115,13 +119,15 @@ TEST(AlgoRelaxed, Lemma3And4OnRandomAperiodicRings) {
     RunSpec spec;
     spec.node_count = n;
     spec.homes = homes;
-    auto simulator = make_simulator(Algorithm::UnknownRelaxed, spec);
+    const sim::Instance instance =
+        make_instance(Algorithm::UnknownRelaxed, spec);
+    sim::ExecutionState simulator(instance);
     sim::RoundRobinScheduler scheduler;
-    const auto result = simulator->run(scheduler);
+    const auto result = simulator.run(scheduler);
     ASSERT_TRUE(result.quiescent()) << "n=" << n << " k=" << k;
 
     bool someone_exact = false;
-    for (const auto* agent : agents_of(*simulator)) {
+    for (const auto* agent : agents_of(simulator)) {
       const std::size_t first = agent->first_estimate_n();
       EXPECT_TRUE(first == n || 2 * first <= n)
           << "Lemma 3: wrong estimates are at most n/2 (n=" << n << ", got "
@@ -143,10 +149,11 @@ TEST(AlgoRelaxed, Fig11PeriodicRingConvergesToFundamentalRing) {
   RunSpec spec;
   spec.node_count = gen::kFig11Nodes;
   spec.homes = gen::fig11_homes();
-  auto simulator = make_simulator(Algorithm::UnknownRelaxed, spec);
+  const sim::Instance instance = make_instance(Algorithm::UnknownRelaxed, spec);
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
-  (void)simulator->run(scheduler);
-  for (const auto* agent : agents_of(*simulator)) {
+  (void)simulator.run(scheduler);
+  for (const auto* agent : agents_of(simulator)) {
     EXPECT_EQ(agent->estimated_n(), 6u) << "Lemma 7: estimates equal N = n/l";
     EXPECT_EQ(agent->estimated_k(), 3u);
   }
@@ -225,10 +232,11 @@ TEST(AlgoRelaxed, EstimateMessagesCarryTheSendersWholeState) {
   spec.node_count = gen::kFig9Nodes;
   spec.homes = gen::fig9_homes();
   spec.sim_options.record_events = true;
-  auto simulator = make_simulator(Algorithm::UnknownRelaxed, spec);
+  const sim::Instance instance = make_instance(Algorithm::UnknownRelaxed, spec);
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
-  (void)simulator->run(scheduler);
-  const auto broadcasts = simulator->log().of_kind(sim::EventKind::Broadcast);
+  (void)simulator.run(scheduler);
+  const auto broadcasts = simulator.log().of_kind(sim::EventKind::Broadcast);
   std::size_t delivered = 0;
   for (const auto& event : broadcasts) delivered += event.detail;
   EXPECT_GE(delivered, 1u) << "patrollers must reach suspended agents";
@@ -246,14 +254,16 @@ TEST(AlgoRelaxed, PackedConfigurationRegression) {
     RunSpec spec;
     spec.node_count = n;
     spec.homes = gen::packed_quarter_homes(n, k);
-    auto simulator = make_simulator(Algorithm::UnknownRelaxed, spec);
+    const sim::Instance instance =
+        make_instance(Algorithm::UnknownRelaxed, spec);
+    sim::ExecutionState simulator(instance);
     sim::RoundRobinScheduler scheduler;
-    const auto result = simulator->run(scheduler);
+    const auto result = simulator.run(scheduler);
     ASSERT_TRUE(result.quiescent()) << "n=" << n;
     const auto check =
-        sim::UniformDeploymentOracle(false).check_goal(*simulator);
+        sim::UniformDeploymentOracle(false).check_goal(simulator);
     ASSERT_TRUE(check.ok) << "n=" << n << ": " << check.reason;
-    const auto agents = agents_of(*simulator);
+    const auto agents = agents_of(simulator);
     EXPECT_EQ(agents[0]->first_estimate_n(), 1u)
         << "the head agent must start with the degenerate estimate";
     for (const auto* agent : agents) {
@@ -305,14 +315,15 @@ TEST_P(AlgoRelaxedPeriodic, PeriodicRingsDeployWithoutLearningN) {
   RunSpec spec;
   spec.node_count = n;
   spec.homes = gen::periodic_homes(n, k, l, rng);
-  auto simulator = make_simulator(Algorithm::UnknownRelaxed, spec);
+  const sim::Instance instance = make_instance(Algorithm::UnknownRelaxed, spec);
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
-  const auto result = simulator->run(scheduler);
+  const auto result = simulator.run(scheduler);
   ASSERT_TRUE(result.quiescent()) << "n=" << n << " k=" << k << " l=" << l;
-  const auto check = sim::UniformDeploymentOracle(false).check_goal(*simulator);
+  const auto check = sim::UniformDeploymentOracle(false).check_goal(simulator);
   ASSERT_TRUE(check.ok) << "n=" << n << " k=" << k << " l=" << l << ": "
                         << check.reason;
-  for (const auto* agent : agents_of(*simulator)) {
+  for (const auto* agent : agents_of(simulator)) {
     EXPECT_EQ(agent->estimated_n(), n / l) << "Lemmas 7–8: estimates = N";
     EXPECT_EQ(agent->estimated_k(), k / l);
   }

@@ -86,17 +86,21 @@ TEST(PositionsUniform, FailureMessagesAreActionable) {
 
 TEST(DefinitionOne, RequiresHaltAndEmptyQueuesAndUniformity) {
   // Walkers that halt uniformly: 2 agents on an 8-ring moving to distance 4.
-  Simulator sim(8, {0, 4}, [](AgentId) { return std::make_unique<WalkerAgent>(8); });
+  const Instance instance(
+      8, {0, 4}, [](AgentId) { return std::make_unique<WalkerAgent>(8); });
+  ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   (void)sim.run(scheduler);
   EXPECT_TRUE(UniformDeploymentOracle(true).check_goal(sim).ok);
 }
 
 TEST(DefinitionOne, RejectsWaitingAgents) {
-  Simulator sim(8, {0, 4}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
-    if (id == 0) return std::make_unique<WalkerAgent>(0);
-    return std::make_unique<CollectorAgent>(1);  // waits forever
-  });
+  const Instance instance(
+      8, {0, 4}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
+        if (id == 0) return std::make_unique<WalkerAgent>(0);
+        return std::make_unique<CollectorAgent>(1);  // waits forever
+      });
+  ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   (void)sim.run(scheduler);
   const auto check = UniformDeploymentOracle(true).check_goal(sim);
@@ -105,7 +109,9 @@ TEST(DefinitionOne, RejectsWaitingAgents) {
 }
 
 TEST(DefinitionOne, RejectsNonUniformHalts) {
-  Simulator sim(8, {0, 1}, [](AgentId) { return std::make_unique<WalkerAgent>(0); });
+  const Instance instance(
+      8, {0, 1}, [](AgentId) { return std::make_unique<WalkerAgent>(0); });
+  ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   (void)sim.run(scheduler);
   EXPECT_FALSE(UniformDeploymentOracle(true).check_goal(sim).ok)
@@ -113,32 +119,40 @@ TEST(DefinitionOne, RejectsNonUniformHalts) {
 }
 
 TEST(DefinitionTwo, RequiresSuspendedAndUniform) {
-  Simulator sim(8, {0, 4}, [](AgentId) { return std::make_unique<SuspenderAgent>(); });
+  const Instance instance(
+      8, {0, 4}, [](AgentId) { return std::make_unique<SuspenderAgent>(); });
+  ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   (void)sim.run(scheduler);
   EXPECT_TRUE(UniformDeploymentOracle(false).check_goal(sim).ok);
 }
 
 TEST(DefinitionTwo, RejectsHaltedAgents) {
-  Simulator sim(8, {0, 4}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
-    if (id == 0) return std::make_unique<SuspenderAgent>();
-    return std::make_unique<SitterAgent>(0);  // halts
-  });
+  const Instance instance(
+      8, {0, 4}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
+        if (id == 0) return std::make_unique<SuspenderAgent>();
+        return std::make_unique<SitterAgent>(0);  // halts
+      });
+  ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   (void)sim.run(scheduler);
   EXPECT_FALSE(UniformDeploymentOracle(false).check_goal(sim).ok);
 }
 
 TEST(Gathered, DetectsGatheringAndSpread) {
-  Simulator gathered(6, {0, 3}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
-    // Both halt at node 3.
-    return std::make_unique<WalkerAgent>(id == 0 ? 3 : 0);
-  });
+  const Instance gathered_instance(
+      6, {0, 3}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
+        // Both halt at node 3.
+        return std::make_unique<WalkerAgent>(id == 0 ? 3 : 0);
+      });
+  ExecutionState gathered(gathered_instance);
   RoundRobinScheduler scheduler;
   (void)gathered.run(scheduler);
   EXPECT_TRUE(check_gathered(gathered).ok);
 
-  Simulator spread(6, {0, 3}, [](AgentId) { return std::make_unique<WalkerAgent>(0); });
+  const Instance spread_instance(
+      6, {0, 3}, [](AgentId) { return std::make_unique<WalkerAgent>(0); });
+  ExecutionState spread(spread_instance);
   RoundRobinScheduler scheduler2;
   (void)spread.run(scheduler2);
   EXPECT_FALSE(check_gathered(spread).ok);
@@ -196,8 +210,10 @@ TEST(PositionsUniform, ExhaustiveSmallInstances) {
 }
 
 TEST(ModelInvariants, DetectsNothingWrongOnHealthyRuns) {
-  Simulator sim(9, {0, 3, 6},
-                [](AgentId) { return std::make_unique<WalkerAgent>(10, true); });
+  const Instance instance(
+      9, {0, 3, 6},
+      [](AgentId) { return std::make_unique<WalkerAgent>(10, true); });
+  ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   scheduler.reset(3);
   while (sim.step(scheduler)) {
@@ -214,7 +230,7 @@ TEST(ModelInvariants, DetectsNothingWrongOnHealthyRuns) {
 /// agent counter must be Σ|q_v|, and on a healthy state the O(k) fast path
 /// must be what proved it (a legal state that falls through to the walk
 /// would silently cost O(n) again).
-::testing::AssertionResult matches_walk(const Simulator& sim,
+::testing::AssertionResult matches_walk(const ExecutionState& sim,
                                         std::size_t min_tokens) {
   std::size_t queued = 0;
   for (NodeId node = 0; node < sim.node_count(); ++node) {
@@ -246,8 +262,8 @@ TEST(ModelInvariants, DetectsNothingWrongOnHealthyRuns) {
 /// floor and with one the state cannot meet. `after_each` observes every
 /// state after an action.
 void step_matching_walk(
-    Simulator& sim, Scheduler& scheduler,
-    const std::function<void(const Simulator&)>& after_each = {}) {
+    ExecutionState& sim, Scheduler& scheduler,
+    const std::function<void(const ExecutionState&)>& after_each = {}) {
   scheduler.attach(sim);
   scheduler.reset(sim.agent_count());
   std::size_t min_tokens = sim.total_tokens();
@@ -262,15 +278,15 @@ void step_matching_walk(
   }
 }
 
-std::unique_ptr<Simulator> random_run(core::Algorithm algorithm, Rng& rng,
-                                      SimOptions options = {}) {
+sim::Instance random_instance(core::Algorithm algorithm, Rng& rng,
+                              SimOptions options = {}) {
   const std::size_t k = 2 + rng.index(4);
   const std::size_t n = 2 * k + rng.index(30);
   core::RunSpec spec;
   spec.node_count = n;
   spec.homes = exp::draw_homes(exp::ConfigFamily::RandomAny, n, k, 1, rng);
   spec.sim_options = options;
-  return core::make_simulator(algorithm, spec);
+  return core::make_instance(algorithm, spec);
 }
 
 constexpr core::Algorithm kRingAlgorithms[] = {
@@ -282,11 +298,12 @@ TEST(InvariantFastPath, MatchesWalkAlongRandomSchedulesOfAllAlgorithms) {
   Rng rng(4101);
   for (const core::Algorithm algorithm : kRingAlgorithms) {
     for (int trial = 0; trial < 6; ++trial) {
-      auto sim = random_run(algorithm, rng);
+      const sim::Instance instance = random_instance(algorithm, rng);
+      ExecutionState sim(instance);
       RandomScheduler scheduler(rng());
-      ASSERT_NO_FATAL_FAILURE(step_matching_walk(*sim, scheduler))
+      ASSERT_NO_FATAL_FAILURE(step_matching_walk(sim, scheduler))
           << core::to_string(algorithm) << " trial " << trial;
-      EXPECT_TRUE(sim->quiescent()) << core::to_string(algorithm);
+      EXPECT_TRUE(sim.quiescent()) << core::to_string(algorithm);
     }
   }
 }
@@ -297,10 +314,12 @@ TEST(InvariantFastPath, MatchesWalkUnderNonFifoQueueJumping) {
   for (int trial = 0; trial < 10; ++trial) {
     SimOptions options;
     options.faults.non_fifo = true;
-    auto sim = random_run(core::Algorithm::KnownKLogMemStrict, rng, options);
+    const sim::Instance instance =
+        random_instance(core::Algorithm::KnownKLogMemStrict, rng, options);
+    ExecutionState sim(instance);
     RandomScheduler scheduler(rng());
     ASSERT_NO_FATAL_FAILURE(
-        step_matching_walk(*sim, scheduler, [&](const Simulator& state) {
+        step_matching_walk(sim, scheduler, [&](const ExecutionState& state) {
           for (const AgentId id : state.enabled()) {
             if (state.status(id) == AgentStatus::InTransit &&
                 state.link_queue(state.agent_node(id)).front() != id) {
@@ -327,12 +346,13 @@ TEST(InvariantFastPath, MatchesWalkWithCrashCorpsesInQueuesAndStayingSets) {
                 [](const CrashFault& a, const CrashFault& b) {
                   return a.at_action < b.at_action;
                 });
-      auto sim = random_run(algorithm, rng, options);
+      const sim::Instance instance = random_instance(algorithm, rng, options);
+      ExecutionState sim(instance);
       RandomScheduler scheduler(rng());
-      ASSERT_NO_FATAL_FAILURE(step_matching_walk(*sim, scheduler));
-      for (AgentId id = 0; id < sim->agent_count(); ++id) {
-        if (sim->status(id) != AgentStatus::Crashed) continue;
-        const auto& queue = sim->link_queue(sim->agent_node(id));
+      ASSERT_NO_FATAL_FAILURE(step_matching_walk(sim, scheduler));
+      for (AgentId id = 0; id < sim.agent_count(); ++id) {
+        if (sim.status(id) != AgentStatus::Crashed) continue;
+        const auto& queue = sim.link_queue(sim.agent_node(id));
         const bool queued =
             std::find(queue.begin(), queue.end(), id) != queue.end();
         ++(queued ? corpses_in_queue : corpses_staying);
@@ -352,10 +372,11 @@ TEST(InvariantFastPath, MatchesWalkOnRewiredRings) {
     for (int trial = 0; trial < 6; ++trial) {
       SimOptions options;
       options.faults.rewire_at = {1 + rng.index(10), 20 + rng.index(20)};
-      auto sim = random_run(algorithm, rng, options);
+      const sim::Instance instance = random_instance(algorithm, rng, options);
+      ExecutionState sim(instance);
       RandomScheduler scheduler(rng());
-      ASSERT_NO_FATAL_FAILURE(step_matching_walk(*sim, scheduler));
-      rewired += sim->rewires_applied();
+      ASSERT_NO_FATAL_FAILURE(step_matching_walk(sim, scheduler));
+      rewired += sim.rewires_applied();
     }
   }
   EXPECT_GT(rewired, 0u);
@@ -384,10 +405,11 @@ TEST(InvariantFastPath, MatchesWalkAlongEveryCorpusTrace) {
     spec.sim_options.record_events = true;
     spec.sim_options.max_actions = trace.max_actions;
     spec.sim_options.faults = trace.faults;
-    auto sim = core::make_simulator(trace.algorithm, spec);
+    const sim::Instance instance = core::make_instance(trace.algorithm, spec);
+    sim::ExecutionState sim(instance);
     explore::ReplayScheduler replayer(trace.choices);
-    ASSERT_NO_FATAL_FAILURE(step_matching_walk(*sim, replayer)) << file;
-    EXPECT_EQ(sim->log().digest(), trace.expected_digest)
+    ASSERT_NO_FATAL_FAILURE(step_matching_walk(sim, replayer)) << file;
+    EXPECT_EQ(sim.log().digest(), trace.expected_digest)
         << file << ": the stepped replay left the recorded execution";
   }
 }
@@ -547,9 +569,10 @@ TEST(GoalOracles, DrainedLinksCheckNamesTheOccupiedQueue) {
   // must fall back to naming the node.
   SimOptions options;
   options.faults.crashes = {{1, 0}};
-  Simulator sim(
+  const Instance instance(
       12, {0, 6}, [](AgentId) { return std::make_unique<SitterAgent>(0); },
       options);
+  ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   (void)sim.run(scheduler);
   EXPECT_EQ(sim.queued_agents(), 1u);
@@ -558,8 +581,9 @@ TEST(GoalOracles, DrainedLinksCheckNamesTheOccupiedQueue) {
   EXPECT_EQ(PartialGatheringOracle(2).check_goal(sim).reason, reason);
   EXPECT_EQ(DispersionOracle().check_goal(sim).reason, reason);
 
-  Simulator drained(
+  const Instance drained_instance(
       12, {0, 6}, [](AgentId) { return std::make_unique<SitterAgent>(0); });
+  ExecutionState drained(drained_instance);
   (void)drained.run(scheduler);
   EXPECT_EQ(drained.queued_agents(), 0u);
   EXPECT_TRUE(DispersionOracle().check_goal(drained).ok);

@@ -17,8 +17,8 @@
 #include "config/generators.h"
 #include "embed/topology.h"
 #include "sim/checker.h"
+#include "sim/execution_state.h"
 #include "sim/instance.h"
-#include "sim/simulator.h"
 #include "support/test_agents.h"
 #include "util/rng.h"
 
@@ -136,7 +136,7 @@ class SuspendAgent final : public AgentProgram {
   bool broadcast_first_;
 };
 
-RunResult drain(Simulator& sim) {
+RunResult drain(ExecutionState& sim) {
   RoundRobinScheduler scheduler;
   return sim.run(scheduler);
 }
@@ -149,11 +149,12 @@ TEST(Definition1Fuzz, NonHaltedAgentFailsWithStatusReason) {
     const std::size_t k = 2 + rng.index(4);
     const std::size_t n = k * (2 + rng.index(4));
     const std::size_t parked = rng.index(k);
-    Simulator sim(n, gen::uniform_homes(n, k), [&](AgentId id) {
+    const Instance instance(n, gen::uniform_homes(n, k), [&](AgentId id) {
       return id == parked
                  ? std::unique_ptr<AgentProgram>(std::make_unique<ParkAgent>())
                  : std::unique_ptr<AgentProgram>(std::make_unique<HaltAgent>());
     });
+    ExecutionState sim(instance);
     ASSERT_TRUE(drain(sim).quiescent());
     EXPECT_FAILS_WITH(UniformDeploymentOracle(true).check_goal(sim), "agent ");
   }
@@ -165,11 +166,12 @@ TEST(Definition1Fuzz, AgentStillOnALinkFailsWithStatusReason) {
   // a link is by definition not halted — the queue-emptiness clause of
   // Definition 1 is unreachable through observable executions, which is
   // itself worth pinning).
-  Simulator sim(8, {0, 4}, [](AgentId id) {
+  const Instance instance(8, {0, 4}, [](AgentId id) {
     return id == 0 ? std::unique_ptr<AgentProgram>(
                          std::make_unique<test::EndlessWalkerAgent>())
                    : std::unique_ptr<AgentProgram>(std::make_unique<HaltAgent>());
   });
+  ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   for (int step = 0; step < 9; ++step) {
     ASSERT_TRUE(sim.step(scheduler));
@@ -183,9 +185,10 @@ TEST(Definition1Fuzz, AgentStillOnALinkFailsWithStatusReason) {
 TEST(Definition2Fuzz, AllSuspendedOnDistinctNodesIsLegal) {
   // Control case: both agents suspend at uniform positions with nobody
   // co-located, so the broadcast reaches no mailbox and the oracle passes.
-  Simulator sim(8, {0, 4}, [](AgentId id) {
+  const Instance instance(8, {0, 4}, [](AgentId id) {
     return std::make_unique<SuspendAgent>(/*broadcast_first=*/id == 0);
   });
+  ExecutionState sim(instance);
   ASSERT_TRUE(drain(sim).quiescent());
   ASSERT_TRUE(UniformDeploymentOracle(false).check_goal(sim).ok);
 }
@@ -195,7 +198,7 @@ TEST(Definition2Fuzz, UndeliveredMailFailsWithMessageReason) {
   // undelivered message — Definition 2's m_i = ∅ clause. Reachable state:
   // the receiver suspends first, the sender walks over, broadcasts into its
   // mailbox and suspends; we stop before the receiver's wake-up action.
-  Simulator meet(8, {0, 7}, [](AgentId id) {
+  const Instance meet_instance(8, {0, 7}, [](AgentId id) {
     if (id == 0) return std::unique_ptr<AgentProgram>(std::make_unique<SuspendAgent>(false));
     // Agent 1 walks one hop (7 -> 0), broadcasts into agent 0's mailbox,
     // then suspends alongside it.
@@ -210,6 +213,7 @@ TEST(Definition2Fuzz, UndeliveredMailFailsWithMessageReason) {
     };
     return std::unique_ptr<AgentProgram>(std::make_unique<WalkBroadcastSuspend>());
   });
+  ExecutionState meet(meet_instance);
   RoundRobinScheduler scheduler;
   scheduler.reset(2);
   // agent 0: arrive home, suspend. agent 1: arrive home, move, arrive at 0,
@@ -243,12 +247,13 @@ TEST(EmbeddedTopologyFuzz, NonHaltedAgentFailsWithStatusReasonOnEulerTrees) {
     const std::size_t parked = rng.index(k);
     std::vector<std::size_t> homes =
         embed::draw_virtual_homes(topology, k, rng);
-    Simulator sim(std::make_shared<const sim::Instance>(
+    const Instance instance(
         std::move(topology), std::move(homes), [&](AgentId id) {
           return id == parked
                      ? std::unique_ptr<AgentProgram>(std::make_unique<ParkAgent>())
                      : std::unique_ptr<AgentProgram>(std::make_unique<HaltAgent>());
-        }));
+        });
+    ExecutionState sim(instance);
     ASSERT_TRUE(drain(sim).quiescent());
     EXPECT_FAILS_WITH(UniformDeploymentOracle(true).check_goal(sim), "agent ");
   }
@@ -267,12 +272,13 @@ TEST(EmbeddedTopologyFuzz, SharedNodeFailsWithSharedNodeReasonOnEulerianGraphs) 
     const std::size_t start = rng.index(topology.size());
     const std::size_t chaser = (start + topology.size() - gap) % topology.size();
     if (chaser == start) continue;
-    Simulator sim(std::make_shared<const sim::Instance>(
+    const Instance instance(
         topology, std::vector<std::size_t>{start, chaser}, [&](AgentId id) {
           // Agent 1 walks exactly onto agent 0's halt node (the virtual
           // ring's successor order is the circuit, so `gap` moves close it).
           return std::make_unique<test::WalkerAgent>(id == 0 ? 0 : gap);
-        }));
+        });
+    ExecutionState sim(instance);
     ASSERT_TRUE(drain(sim).quiescent());
     EXPECT_FAILS_WITH(UniformDeploymentOracle(true).check_goal(sim),
                       "two agents share node ");
@@ -291,11 +297,12 @@ TEST(EmbeddedTopologyFuzz, ModelInvariantsHoldAtEveryStepOfEmbeddedRuns) {
       const std::size_t k = 1 + rng.index(std::min<std::size_t>(n, 3));
       std::vector<std::size_t> homes =
           embed::draw_virtual_homes(topology, k, rng);
-      Simulator sim(std::make_shared<const sim::Instance>(
+      const Instance instance(
           std::move(topology), std::move(homes), [k](AgentId) {
             return std::make_unique<test::WalkerAgent>(/*steps=*/k + 4,
                                                        /*drop_token=*/true);
-          }));
+          });
+      ExecutionState sim(instance);
       RandomScheduler scheduler(rng());
       scheduler.reset(k);
       std::size_t min_tokens = 0;
@@ -312,9 +319,10 @@ TEST(EmbeddedTopologyFuzz, ModelInvariantsHoldAtEveryStepOfEmbeddedRuns) {
 // ---- model invariants -------------------------------------------------------
 
 TEST(ModelInvariantsFuzz, TokenDecreaseFailsWithTokenReason) {
-  Simulator sim(6, {0, 3}, [](AgentId) {
+  const Instance instance(6, {0, 3}, [](AgentId) {
     return std::make_unique<HaltAgent>();
   });
+  ExecutionState sim(instance);
   // No tokens were ever dropped; claiming we saw 3 must trip monotonicity.
   EXPECT_FAILS_WITH(check_model_invariants(sim, 3), "token count decreased");
   EXPECT_TRUE(check_model_invariants(sim, 0).ok);
@@ -336,8 +344,10 @@ TEST(CrashFaultFuzz, CrashedAfterHaltCorpseIsInvisibleToTheGoal) {
   // deployment uniform despite the corpse at node 4.
   SimOptions options;
   options.faults.crashes = {{1, 2}};
-  Simulator sim(8, {0, 4},
-                [](AgentId) { return std::make_unique<HaltAgent>(); }, options);
+  const Instance instance(
+      8, {0, 4},
+      [](AgentId) { return std::make_unique<HaltAgent>(); }, options);
+  ExecutionState sim(instance);
   ASSERT_TRUE(drain(sim).quiescent());
   ASSERT_EQ(sim.status(1), AgentStatus::Crashed);
   const CheckResult goal = UniformDeploymentOracle(true).check_goal(sim);
@@ -352,8 +362,10 @@ TEST(CrashFaultFuzz, SurvivorsAtSkewedGapsFailWithGapReason) {
   // blaming the corpse's status).
   SimOptions options;
   options.faults.crashes = {{2, 3}};
-  Simulator sim(9, {0, 3, 6},
-                [](AgentId) { return std::make_unique<HaltAgent>(); }, options);
+  const Instance instance(
+      9, {0, 3, 6},
+      [](AgentId) { return std::make_unique<HaltAgent>(); }, options);
+  ExecutionState sim(instance);
   ASSERT_TRUE(drain(sim).quiescent());
   ASSERT_EQ(sim.status(2), AgentStatus::Crashed);
   EXPECT_FAILS_WITH(UniformDeploymentOracle(true).check_goal(sim), "gap ");
@@ -368,7 +380,7 @@ TEST(CrashFaultFuzz, CorpseFrozenOnALinkIsReportedThroughWhatItBlocks) {
   for (std::size_t at_action = 1; at_action < 8; ++at_action) {
     SimOptions options;
     options.faults.crashes = {{0, at_action}};
-    Simulator sim(
+    const Instance instance(
         8, {0, 4},
         [](AgentId id) {
           return id == 0 ? std::unique_ptr<AgentProgram>(
@@ -377,6 +389,7 @@ TEST(CrashFaultFuzz, CorpseFrozenOnALinkIsReportedThroughWhatItBlocks) {
                                std::make_unique<HaltAgent>());
         },
         options);
+    ExecutionState sim(instance);
     ASSERT_TRUE(drain(sim).quiescent());
     ASSERT_EQ(sim.status(0), AgentStatus::Crashed);
     std::size_t queued = 0;
@@ -424,7 +437,7 @@ TEST(RewireFaultFuzz, IdentityRewiringKeepsTheDeploymentLegal) {
   // changes nothing; only the chosen cycle can.
   SimOptions options;
   options.faults.rewire_at = {1};
-  Simulator sim(
+  const Instance instance(
       8, {0, 1},
       [](AgentId id) {
         return id == 0 ? std::unique_ptr<AgentProgram>(
@@ -433,6 +446,7 @@ TEST(RewireFaultFuzz, IdentityRewiringKeepsTheDeploymentLegal) {
                              std::make_unique<test::WalkerAgent>(3));
       },
       options);
+  ExecutionState sim(instance);
   StrideScriptScheduler scheduler(0);
   ASSERT_TRUE(sim.run(scheduler).quiescent());
   ASSERT_EQ(sim.rewires_applied(), 1u);
@@ -448,7 +462,7 @@ TEST(RewireFaultFuzz, AdversarialRewiringSkewsTheDeploymentWithGapReason) {
   // rewiring choice separates this from the passing control above.
   SimOptions options;
   options.faults.rewire_at = {1};
-  Simulator sim(
+  const Instance instance(
       8, {0, 1},
       [](AgentId id) {
         return id == 0 ? std::unique_ptr<AgentProgram>(
@@ -457,6 +471,7 @@ TEST(RewireFaultFuzz, AdversarialRewiringSkewsTheDeploymentWithGapReason) {
                              std::make_unique<test::WalkerAgent>(3));
       },
       options);
+  ExecutionState sim(instance);
   StrideScriptScheduler scheduler(3);
   ASSERT_TRUE(sim.run(scheduler).quiescent());
   ASSERT_EQ(sim.rewires_applied(), 1u);
@@ -477,13 +492,14 @@ TEST(RewireFaultFuzz, ModelInvariantsHoldAtEveryStepUnderCrashAndRewire) {
         {static_cast<AgentId>(rng.index(k)), 1 + rng.index(2 * n)}};
     options.faults.rewire_at = {1 + rng.index(n), 2 * n + rng.index(n)};
     options.faults.normalize();
-    Simulator sim(
+    const Instance instance(
         n, gen::random_homes(n, k, rng),
         [k](AgentId) {
           return std::make_unique<test::WalkerAgent>(/*steps=*/k + 3,
                                                      /*drop_token=*/true);
         },
         options);
+    ExecutionState sim(instance);
     RandomScheduler scheduler(rng());
     scheduler.reset(k);
     std::size_t min_tokens = 0;
@@ -502,10 +518,11 @@ TEST(ModelInvariantsFuzz, HoldsAtEveryStepOfRandomRuns) {
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t k = 2 + rng.index(4);
     const std::size_t n = 8 + rng.index(9);
-    Simulator sim(n, gen::random_homes(n, k, rng), [k](AgentId) {
+    const Instance instance(n, gen::random_homes(n, k, rng), [k](AgentId) {
       return std::make_unique<test::WalkerAgent>(/*steps=*/k + 3,
                                                  /*drop_token=*/true);
     });
+    ExecutionState sim(instance);
     RandomScheduler scheduler(rng());
     scheduler.reset(k);
     std::size_t min_tokens = 0;

@@ -35,7 +35,8 @@ namespace {
 
 /// Steps `sim` to quiescence under `scheduler`, asserting after every action
 /// that the incremental checker returns exactly the full checker's verdict.
-void assert_equivalent_along_run(sim::Simulator& sim, sim::Scheduler& scheduler,
+void assert_equivalent_along_run(sim::ExecutionState& sim,
+                                 sim::Scheduler& scheduler,
                                  std::size_t max_steps = 100'000) {
   sim::IncrementalInvariantChecker incremental;
   std::size_t min_tokens = sim.total_tokens();
@@ -64,12 +65,13 @@ TEST(IncrementalChecker, EquivalentAlongRandomSchedulesOfRealAlgorithms) {
       core::RunSpec spec;
       spec.node_count = n;
       spec.homes = exp::draw_homes(exp::ConfigFamily::RandomAny, n, k, 1, rng);
-      auto sim = core::make_simulator(algorithm, spec);
+      const sim::Instance instance = core::make_instance(algorithm, spec);
+      sim::ExecutionState sim(instance);
       sim::RandomScheduler scheduler(rng());
-      scheduler.attach(*sim);
+      scheduler.attach(sim);
       scheduler.reset(k);
-      assert_equivalent_along_run(*sim, scheduler);
-      EXPECT_TRUE(sim->quiescent());
+      assert_equivalent_along_run(sim, scheduler);
+      EXPECT_TRUE(sim.quiescent());
     }
   }
 }
@@ -85,11 +87,13 @@ TEST(IncrementalChecker, EquivalentUnderNonFifoFaultQueueJumping) {
     spec.sim_options.faults.non_fifo = true;
     spec.sim_options.faults.non_fifo_min_phase =
         core::KnownKLogMemAgent::kDeployment;
-    auto sim = core::make_simulator(core::Algorithm::KnownKLogMemStrict, spec);
+    const sim::Instance instance =
+        core::make_instance(core::Algorithm::KnownKLogMemStrict, spec);
+    sim::ExecutionState sim(instance);
     sim::RandomScheduler scheduler(rng());
-    scheduler.attach(*sim);
+    scheduler.attach(sim);
     scheduler.reset(spec.homes.size());
-    assert_equivalent_along_run(*sim, scheduler);
+    assert_equivalent_along_run(sim, scheduler);
   }
 }
 
@@ -179,26 +183,28 @@ TEST(IncrementalChecker, TokenDecreaseFailsWithSameReasonPrefix) {
   core::RunSpec spec;
   spec.node_count = 16;
   spec.homes = exp::draw_homes(exp::ConfigFamily::RandomAny, 16, 3, 1, rng);
-  auto sim = core::make_simulator(core::Algorithm::KnownKFull, spec);
+  const sim::Instance instance =
+      core::make_instance(core::Algorithm::KnownKFull, spec);
+  sim::ExecutionState sim(instance);
 
   sim::IncrementalInvariantChecker checker;
   // A fresh run has zero tokens; claiming 5 must trip monotonicity in both
   // the adopting reset and the per-action check, with the full checker's
   // exact wording.
-  const sim::CheckResult at_reset = checker.reset(*sim, 5);
+  const sim::CheckResult at_reset = checker.reset(sim, 5);
   EXPECT_FALSE(at_reset.ok);
   EXPECT_EQ(at_reset.reason.rfind("token count decreased", 0), 0u)
       << at_reset.reason;
-  EXPECT_EQ(at_reset.reason, sim::check_model_invariants(*sim, 5).reason);
+  EXPECT_EQ(at_reset.reason, sim::check_model_invariants(sim, 5).reason);
 
-  ASSERT_TRUE(checker.reset(*sim, 0).ok);
+  ASSERT_TRUE(checker.reset(sim, 0).ok);
   sim::RoundRobinScheduler scheduler;
-  scheduler.attach(*sim);
+  scheduler.attach(sim);
   scheduler.reset(3);
-  ASSERT_TRUE(sim->step(scheduler));
-  const sim::CheckResult after = checker.check_after_action(*sim, 5);
+  ASSERT_TRUE(sim.step(scheduler));
+  const sim::CheckResult after = checker.check_after_action(sim, 5);
   EXPECT_FALSE(after.ok);
-  EXPECT_EQ(after.reason, sim::check_model_invariants(*sim, 5).reason);
+  EXPECT_EQ(after.reason, sim::check_model_invariants(sim, 5).reason);
 }
 
 TEST(IncrementalChecker, PeriodicFullCheckRunsOnSchedule) {
@@ -206,17 +212,19 @@ TEST(IncrementalChecker, PeriodicFullCheckRunsOnSchedule) {
   core::RunSpec spec;
   spec.node_count = 24;
   spec.homes = exp::draw_homes(exp::ConfigFamily::RandomAny, 24, 4, 1, rng);
-  auto sim = core::make_simulator(core::Algorithm::KnownKFull, spec);
+  const sim::Instance instance =
+      core::make_instance(core::Algorithm::KnownKFull, spec);
+  sim::ExecutionState sim(instance);
 
   sim::IncrementalInvariantChecker checker(
       sim::IncrementalInvariantChecker::Options{.full_check_every = 4});
-  ASSERT_TRUE(checker.reset(*sim, 0).ok);
+  ASSERT_TRUE(checker.reset(sim, 0).ok);
   sim::RoundRobinScheduler scheduler;
-  scheduler.attach(*sim);
+  scheduler.attach(sim);
   scheduler.reset(4);
   std::size_t actions = 0;
-  while (actions < 22 && sim->step(scheduler)) {
-    ASSERT_TRUE(checker.check_after_action(*sim, 0).ok);
+  while (actions < 22 && sim.step(scheduler)) {
+    ASSERT_TRUE(checker.check_after_action(sim, 0).ok);
     ++actions;
   }
   ASSERT_EQ(actions, 22u);
@@ -225,9 +233,9 @@ TEST(IncrementalChecker, PeriodicFullCheckRunsOnSchedule) {
   // full_check_every = 0 disables the net entirely.
   sim::IncrementalInvariantChecker pure(
       sim::IncrementalInvariantChecker::Options{.full_check_every = 0});
-  ASSERT_TRUE(pure.reset(*sim, 0).ok);
-  while (sim->step(scheduler)) {
-    ASSERT_TRUE(pure.check_after_action(*sim, 0).ok);
+  ASSERT_TRUE(pure.reset(sim, 0).ok);
+  while (sim.step(scheduler)) {
+    ASSERT_TRUE(pure.check_after_action(sim, 0).ok);
   }
   EXPECT_EQ(pure.full_checks(), 0u);
 }
@@ -243,19 +251,21 @@ TEST(IncrementalChecker, PooledReuseAcrossInstancesMatchesFresh) {
     core::RunSpec spec;
     spec.node_count = n;
     spec.homes = exp::draw_homes(exp::ConfigFamily::RandomAny, n, k, 1, rng);
-    auto sim = core::make_simulator(core::Algorithm::KnownKFull, spec);
-    ASSERT_TRUE(pooled.reset(*sim, 0).ok);
+    const sim::Instance instance =
+        core::make_instance(core::Algorithm::KnownKFull, spec);
+    sim::ExecutionState sim(instance);
+    ASSERT_TRUE(pooled.reset(sim, 0).ok);
     sim::RandomScheduler scheduler(rng());
-    scheduler.attach(*sim);
+    scheduler.attach(sim);
     scheduler.reset(k);
-    std::size_t min_tokens = sim->total_tokens();
-    while (sim->step(scheduler)) {
+    std::size_t min_tokens = sim.total_tokens();
+    while (sim.step(scheduler)) {
       const sim::CheckResult verdict =
-          pooled.check_after_action(*sim, min_tokens);
+          pooled.check_after_action(sim, min_tokens);
       ASSERT_TRUE(verdict.ok) << verdict.reason;
-      min_tokens = sim->total_tokens();
+      min_tokens = sim.total_tokens();
     }
-    EXPECT_TRUE(sim->quiescent());
+    EXPECT_TRUE(sim.quiescent());
   }
 }
 

@@ -8,8 +8,8 @@
 #include <memory>
 #include <sstream>
 
+#include "sim/execution_state.h"
 #include "sim/scheduler.h"
-#include "sim/simulator.h"
 #include "support/test_agents.h"
 
 namespace udring::sim {
@@ -74,9 +74,11 @@ TEST(EventLog, StreamFormatIsReadable) {
 TEST(EventLog, TraceIsConsistentWithMetrics) {
   SimOptions options;
   options.record_events = true;
-  Simulator sim(10, {0, 5},
-                [](AgentId) { return std::make_unique<WalkerAgent>(7, true); },
-                options);
+  const Instance instance(
+      10, {0, 5},
+      [](AgentId) { return std::make_unique<WalkerAgent>(7, true); },
+      options);
+  ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   (void)sim.run(scheduler);
 
@@ -98,10 +100,12 @@ TEST(EventLog, TraceIsConsistentWithMetrics) {
 TEST(EventLog, BroadcastAndWakeAppearInCausalOrder) {
   SimOptions options;
   options.record_events = true;
-  Simulator sim(6, {0, 3}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
-    if (id == 0) return std::make_unique<SuspenderAgent>();
-    return std::make_unique<MessengerAgent>(3, "hi");
-  }, options);
+  const Instance instance(
+      6, {0, 3}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
+        if (id == 0) return std::make_unique<SuspenderAgent>();
+        return std::make_unique<MessengerAgent>(3, "hi");
+      }, options);
+  ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   (void)sim.run(scheduler);
 

@@ -59,20 +59,22 @@ TEST(Adversaries, AlwaysPickFromEnabledSet) {
     core::RunSpec spec;
     spec.node_count = 20;
     spec.homes = homes;
-    auto sim = core::make_simulator(core::Algorithm::KnownKFull, spec);
+    const sim::Instance instance =
+        core::make_instance(core::Algorithm::KnownKFull, spec);
+    sim::ExecutionState sim(instance);
     auto scheduler = make_explore_scheduler(kind, 7, homes.size());
-    scheduler->attach(*sim);
+    scheduler->attach(sim);
     scheduler->reset(homes.size());
     std::size_t steps = 0;
-    while (!sim->quiescent() && steps < 4000) {
-      const auto enabled = sim->enabled();  // copy: step mutates it
+    while (!sim.quiescent() && steps < 4000) {
+      const auto enabled = sim.enabled();  // copy: step mutates it
       const sim::AgentId pick = scheduler->pick(enabled);
       ASSERT_NE(std::find(enabled.begin(), enabled.end(), pick), enabled.end())
           << to_string(kind) << " picked a disabled agent";
-      ASSERT_TRUE(sim->step_agent(pick));
+      ASSERT_TRUE(sim.step_agent(pick));
       ++steps;
     }
-    EXPECT_TRUE(sim->quiescent())
+    EXPECT_TRUE(sim.quiescent())
         << to_string(kind) << " failed to drive the run to quiescence";
   }
 }
@@ -106,25 +108,27 @@ TEST(Adversaries, LinkDelayStarvesTransitAgents) {
   core::RunSpec spec;
   spec.node_count = 16;
   spec.homes = homes;
-  auto sim = core::make_simulator(core::Algorithm::KnownKFull, spec);
+  const sim::Instance instance =
+      core::make_instance(core::Algorithm::KnownKFull, spec);
+  sim::ExecutionState sim(instance);
   LinkDelayScheduler scheduler;
-  scheduler.attach(*sim);
+  scheduler.attach(sim);
   scheduler.reset(homes.size());
   std::size_t checked = 0;
-  while (!sim->quiescent() && checked < 2000) {
-    const auto enabled = sim->enabled();
+  while (!sim.quiescent() && checked < 2000) {
+    const auto enabled = sim.enabled();
     const sim::AgentId pick = scheduler.pick(enabled);
     const bool any_staying =
         std::any_of(enabled.begin(), enabled.end(), [&](sim::AgentId id) {
-          return sim->status(id) != sim::AgentStatus::InTransit;
+          return sim.status(id) != sim::AgentStatus::InTransit;
         });
     if (any_staying) {
-      EXPECT_NE(sim->status(pick), sim::AgentStatus::InTransit);
+      EXPECT_NE(sim.status(pick), sim::AgentStatus::InTransit);
     }
-    ASSERT_TRUE(sim->step_agent(pick));
+    ASSERT_TRUE(sim.step_agent(pick));
     ++checked;
   }
-  EXPECT_TRUE(sim->quiescent());
+  EXPECT_TRUE(sim.quiescent());
 }
 
 TEST(Adversaries, NameRoundTrip) {

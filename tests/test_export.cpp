@@ -40,21 +40,23 @@ void expect_well_formed(const std::string& json) {
   EXPECT_FALSE(in_string);
 }
 
-std::unique_ptr<Simulator> make_finished_sim() {
-  auto sim = std::make_unique<Simulator>(
-      8, std::vector<NodeId>{0, 4},
-      [](AgentId id) -> std::unique_ptr<AgentProgram> {
-        if (id == 0) return std::make_unique<WalkerAgent>(4, true);
-        return std::make_unique<SuspenderAgent>();
-      });
+/// A walker that drops its token and halts 4 nodes on, beside a suspender.
+Instance walker_and_suspender() {
+  return Instance(8, {0, 4}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
+    if (id == 0) return std::make_unique<WalkerAgent>(4, true);
+    return std::make_unique<SuspenderAgent>();
+  });
+}
+
+void run_round_robin(ExecutionState& sim) {
   RoundRobinScheduler scheduler;
-  (void)sim->run(scheduler);
-  return sim;
+  (void)sim.run(scheduler);
 }
 
 TEST(Export, SnapshotJsonIsWellFormedAndComplete) {
-  const auto sim_ptr = make_finished_sim();
-  const Simulator& sim = *sim_ptr;
+  const Instance instance = walker_and_suspender();
+  ExecutionState sim(instance);
+  run_round_robin(sim);
   const std::string json = to_json(sim.snapshot());
   expect_well_formed(json);
   EXPECT_NE(json.find("\"node_count\":8"), std::string::npos);
@@ -64,8 +66,9 @@ TEST(Export, SnapshotJsonIsWellFormedAndComplete) {
 }
 
 TEST(Export, MetricsJsonCarriesTotals) {
-  const auto sim_ptr = make_finished_sim();
-  const Simulator& sim = *sim_ptr;
+  const Instance instance = walker_and_suspender();
+  ExecutionState sim(instance);
+  run_round_robin(sim);
   const std::string json = to_json(sim.metrics());
   expect_well_formed(json);
   EXPECT_NE(json.find("\"total_moves\":4"), std::string::npos);
@@ -73,8 +76,9 @@ TEST(Export, MetricsJsonCarriesTotals) {
 }
 
 TEST(Export, SimulatorJsonCombinesEverything) {
-  const auto sim_ptr = make_finished_sim();
-  const Simulator& sim = *sim_ptr;
+  const Instance instance = walker_and_suspender();
+  ExecutionState sim(instance);
+  run_round_robin(sim);
   const std::string json = to_json(sim);
   expect_well_formed(json);
   EXPECT_NE(json.find("\"quiescent\":true"), std::string::npos);
@@ -84,9 +88,10 @@ TEST(Export, SimulatorJsonCombinesEverything) {
 }
 
 TEST(Export, EmptyPhasesAndQueuesSerialize) {
-  Simulator sim(3, {1}, [](AgentId) { return std::make_unique<WalkerAgent>(0); });
-  RoundRobinScheduler scheduler;
-  (void)sim.run(scheduler);
+  const Instance instance(
+      3, {1}, [](AgentId) { return std::make_unique<WalkerAgent>(0); });
+  ExecutionState sim(instance);
+  run_round_robin(sim);
   const std::string json = to_json(sim);
   expect_well_formed(json);
   EXPECT_NE(json.find("\"queues\":[[],[],[]]"), std::string::npos);

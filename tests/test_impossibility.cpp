@@ -44,7 +44,8 @@ sim::ProgramFactory relaxed_factory() {
 }
 
 TEST(Impossibility, StrawmanSucceedsOnTheBaseRing) {
-  sim::Simulator simulator(kBaseNodes, kBaseHomes, premature_factory());
+  const sim::Instance instance(kBaseNodes, kBaseHomes, premature_factory());
+  sim::ExecutionState simulator(instance);
   sim::SynchronousScheduler scheduler;
   const auto result = simulator.run(scheduler);
   ASSERT_TRUE(result.quiescent());
@@ -56,7 +57,9 @@ TEST(Impossibility, StrawmanSucceedsOnTheBaseRing) {
 
 TEST(Impossibility, Lemma1LocalConfigurationsMatchForQnRounds) {
   // Measure T(E_R): rounds to quiescence in R.
-  sim::Simulator reference(kBaseNodes, kBaseHomes, premature_factory());
+  const sim::Instance reference_instance(
+      kBaseNodes, kBaseHomes, premature_factory());
+  sim::ExecutionState reference(reference_instance);
   sim::SynchronousScheduler ref_scheduler;
   (void)reference.run(ref_scheduler);
   const std::uint64_t total_rounds = ref_scheduler.rounds() + 1;
@@ -66,8 +69,12 @@ TEST(Impossibility, Lemma1LocalConfigurationsMatchForQnRounds) {
   const auto instance = gen::impossibility_ring(kBaseHomes, kBaseNodes, q);
   ASSERT_EQ(instance.node_count, 2 * q * kBaseNodes + 2 * kBaseNodes);
 
-  sim::Simulator small(kBaseNodes, kBaseHomes, premature_factory());
-  sim::Simulator large(instance.node_count, instance.homes, premature_factory());
+  const sim::Instance small_instance(
+      kBaseNodes, kBaseHomes, premature_factory());
+  sim::ExecutionState small(small_instance);
+  const sim::Instance large_instance(
+      instance.node_count, instance.homes, premature_factory());
+  sim::ExecutionState large(large_instance);
 
   // Lemma 1: after round t ≤ qn, every node v'_j with t ≤ j < qn + n has the
   // local configuration of v_{j mod n}.
@@ -87,14 +94,18 @@ TEST(Impossibility, Lemma1LocalConfigurationsMatchForQnRounds) {
 }
 
 TEST(Impossibility, StrawmanTerminatesPrematurelyOnTheLargeRing) {
-  sim::Simulator reference(kBaseNodes, kBaseHomes, premature_factory());
+  const sim::Instance reference_instance(
+      kBaseNodes, kBaseHomes, premature_factory());
+  sim::ExecutionState reference(reference_instance);
   sim::SynchronousScheduler ref_scheduler;
   (void)reference.run(ref_scheduler);
   const std::size_t q =
       (static_cast<std::size_t>(ref_scheduler.rounds()) + kBaseNodes) / kBaseNodes;
 
   const auto instance = gen::impossibility_ring(kBaseHomes, kBaseNodes, q);
-  sim::Simulator large(instance.node_count, instance.homes, premature_factory());
+  const sim::Instance large_instance(
+      instance.node_count, instance.homes, premature_factory());
+  sim::ExecutionState large(large_instance);
   sim::SynchronousScheduler scheduler;
   const auto result = large.run(scheduler);
   ASSERT_TRUE(result.quiescent());
@@ -118,7 +129,9 @@ TEST(Impossibility, StrawmanTerminatesPrematurelyOnTheLargeRing) {
 TEST(Impossibility, RelaxedAlgorithmHandlesTheSameLargeRing) {
   // Dropping termination detection (Algorithm 6) makes the very same
   // instance solvable — the paper's Result 3 vs Result 4 boundary.
-  sim::Simulator reference(kBaseNodes, kBaseHomes, premature_factory());
+  const sim::Instance reference_instance(
+      kBaseNodes, kBaseHomes, premature_factory());
+  sim::ExecutionState reference(reference_instance);
   sim::SynchronousScheduler ref_scheduler;
   (void)reference.run(ref_scheduler);
   const std::size_t q =
@@ -127,8 +140,10 @@ TEST(Impossibility, RelaxedAlgorithmHandlesTheSameLargeRing) {
   const auto instance = gen::impossibility_ring(kBaseHomes, kBaseNodes, q);
   sim::SimOptions options;
   options.max_actions = 128 * instance.node_count * instance.homes.size();
-  sim::Simulator large(instance.node_count, instance.homes, relaxed_factory(),
-                       options);
+  const sim::Instance large_instance(
+      instance.node_count, instance.homes, relaxed_factory(),
+      options);
+  sim::ExecutionState large(large_instance);
   sim::SynchronousScheduler scheduler;
   const auto result = large.run(scheduler);
   ASSERT_TRUE(result.quiescent());

@@ -96,14 +96,18 @@ TEST(ConfigDigest, CommutingIndependentActionsConverge) {
   spec.node_count = 8;
   spec.homes = {0, 4};
   spec.sim_options.record_events = true;
-  auto ab = core::make_simulator(core::Algorithm::KnownKFull, spec);
-  auto ba = core::make_simulator(core::Algorithm::KnownKFull, spec);
-  ASSERT_TRUE(ab->step_agent(0));
-  ASSERT_TRUE(ab->step_agent(1));
-  ASSERT_TRUE(ba->step_agent(1));
-  ASSERT_TRUE(ba->step_agent(0));
-  EXPECT_EQ(ab->config_digest(), ba->config_digest());
-  EXPECT_NE(ab->log().digest(), ba->log().digest())
+  const sim::Instance ab_instance =
+      core::make_instance(core::Algorithm::KnownKFull, spec);
+  sim::ExecutionState ab(ab_instance);
+  const sim::Instance ba_instance =
+      core::make_instance(core::Algorithm::KnownKFull, spec);
+  sim::ExecutionState ba(ba_instance);
+  ASSERT_TRUE(ab.step_agent(0));
+  ASSERT_TRUE(ab.step_agent(1));
+  ASSERT_TRUE(ba.step_agent(1));
+  ASSERT_TRUE(ba.step_agent(0));
+  EXPECT_EQ(ab.config_digest(), ba.config_digest());
+  EXPECT_NE(ab.log().digest(), ba.log().digest())
       << "event logs record history and must distinguish the orders";
 }
 
@@ -117,12 +121,16 @@ TEST(ConfigDigest, RelabellingAgentsChangesTheDigest) {
   ab.homes = {0, 4};
   ba.node_count = 8;
   ba.homes = {4, 0};
-  const auto sim_ab = core::make_simulator(core::Algorithm::KnownKFull, ab);
-  const auto sim_ba = core::make_simulator(core::Algorithm::KnownKFull, ba);
-  EXPECT_NE(sim_ab->config_digest(), sim_ba->config_digest());
-  ASSERT_TRUE(sim_ab->step_agent(0));
-  ASSERT_TRUE(sim_ba->step_agent(1));
-  EXPECT_NE(sim_ab->config_digest(), sim_ba->config_digest());
+  const sim::Instance sim_ab_instance =
+      core::make_instance(core::Algorithm::KnownKFull, ab);
+  sim::ExecutionState sim_ab(sim_ab_instance);
+  const sim::Instance sim_ba_instance =
+      core::make_instance(core::Algorithm::KnownKFull, ba);
+  sim::ExecutionState sim_ba(sim_ba_instance);
+  EXPECT_NE(sim_ab.config_digest(), sim_ba.config_digest());
+  ASSERT_TRUE(sim_ab.step_agent(0));
+  ASSERT_TRUE(sim_ba.step_agent(1));
+  EXPECT_NE(sim_ab.config_digest(), sim_ba.config_digest());
 }
 
 /// Runs `instance` through `schedule` (agent ids, in order) on a fresh
@@ -233,11 +241,13 @@ TEST(ConfigDigest, ChangesWithUnknownRelaxedInstrumentation) {
   spec.node_count = 8;
   spec.homes = {0, 3};
   const auto digest_with = [&](void (*mutate)(core::UnknownRelaxedAgent&)) {
-    auto sim = core::make_simulator(core::Algorithm::UnknownRelaxed, spec);
+    const sim::Instance instance =
+        core::make_instance(core::Algorithm::UnknownRelaxed, spec);
+    sim::ExecutionState sim(instance);
     // The state owns its programs; this is a write to a non-const object.
     mutate(const_cast<core::UnknownRelaxedAgent&>(
-        dynamic_cast<const core::UnknownRelaxedAgent&>(sim->program(0))));
-    return sim->config_digest();
+        dynamic_cast<const core::UnknownRelaxedAgent&>(sim.program(0))));
+    return sim.config_digest();
   };
   const std::uint64_t base = digest_with([](core::UnknownRelaxedAgent&) {});
   EXPECT_EQ(digest_with([](core::UnknownRelaxedAgent&) {}), base);
@@ -255,14 +265,18 @@ TEST(ConfigDigest, DistinguishesSuccessiveConfigurations) {
   core::RunSpec spec;
   spec.node_count = 8;
   spec.homes = {0, 4};
-  auto sim = core::make_simulator(core::Algorithm::KnownKFull, spec);
-  const std::uint64_t initial = sim->config_digest();
-  ASSERT_TRUE(sim->step_agent(0));
-  const std::uint64_t after = sim->config_digest();
+  const sim::Instance instance =
+      core::make_instance(core::Algorithm::KnownKFull, spec);
+  sim::ExecutionState sim(instance);
+  const std::uint64_t initial = sim.config_digest();
+  ASSERT_TRUE(sim.step_agent(0));
+  const std::uint64_t after = sim.config_digest();
   EXPECT_NE(initial, after);
   // A fresh state on the same instance digests identically to the first.
-  auto again = core::make_simulator(core::Algorithm::KnownKFull, spec);
-  EXPECT_EQ(again->config_digest(), initial);
+  const sim::Instance again_instance =
+      core::make_instance(core::Algorithm::KnownKFull, spec);
+  sim::ExecutionState again(again_instance);
+  EXPECT_EQ(again.config_digest(), initial);
 }
 
 // ---- 1. exhaustive verification, counts stable across workers ---------------

@@ -10,8 +10,8 @@
 #include "core/distance_sequence.h"
 #include "core/targets.h"
 #include "sim/checker.h"
+#include "sim/execution_state.h"
 #include "sim/scheduler.h"
-#include "sim/simulator.h"
 
 namespace udring::core {
 namespace {
@@ -140,8 +140,9 @@ template <typename Mutant>
 Outcome run_mutant(std::size_t n, std::vector<std::size_t> homes) {
   sim::SimOptions options;
   options.max_actions = 64 * n * homes.size() + 4096;
-  sim::Simulator simulator(n, std::move(homes), mutant_factory<Mutant>(4),
-                           options);
+  const sim::Instance instance(n, std::move(homes), mutant_factory<Mutant>(4),
+                               options);
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
   const auto result = simulator.run(scheduler);
   return {result.quiescent(),
@@ -186,9 +187,10 @@ TEST(OracleSensitivity, MissingTokenIsCaught) {
 TEST(OracleSensitivity, LivelockIsReportedAsActionLimit) {
   sim::SimOptions options;
   options.max_actions = 5000;
-  sim::Simulator simulator(
+  const sim::Instance instance(
       kN, kHomes, [](sim::AgentId) { return std::make_unique<NeverHaltsMutant>(); },
       options);
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
   const auto result = simulator.run(scheduler);
   EXPECT_EQ(result.outcome, sim::RunResult::Outcome::ActionLimit);
@@ -211,9 +213,10 @@ TEST(OracleSensitivity, SuspendedIsNotHalted) {
     }
     [[nodiscard]] std::string_view name() const override { return "suspender"; }
   };
-  sim::Simulator simulator(16, {0, 8}, [](sim::AgentId) {
+  const sim::Instance instance(16, {0, 8}, [](sim::AgentId) {
     return std::make_unique<SuspendAtTarget>();
   });
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
   (void)simulator.run(scheduler);
   EXPECT_FALSE(sim::UniformDeploymentOracle(true).check_goal(simulator).ok);

@@ -2,8 +2,10 @@
 //
 // The contract under test: running an instance through *pooled* machinery —
 // a reused ExecutionState arena, a cached/reseeded scheduler, a RunContext,
-// run_batch, run_many — is byte-identical (event-log digest, metrics,
-// final positions) to running it through freshly constructed objects. A
+// run_many — is byte-identical (event-log digest, metrics, final
+// positions) to running it through freshly constructed objects. The caller
+// owns every Instance; an ExecutionState only points at one, so the type
+// refuses a temporary Instance at compile time. A
 // scheduler or RNG that carries state across ExecutionState::reset() makes
 // reruns correlated; BurstScheduler had exactly that bug (its RNG survived
 // reset()), pinned here so it cannot return.
@@ -12,13 +14,14 @@
 
 #include <memory>
 #include <optional>
+#include <type_traits>
 
 #include "core/runner.h"
-#include "explore/adversary.h"
 #include "exp/campaign.h"
-#include "mc/model_check.h"
+#include "explore/adversary.h"
 #include "explore/fuzz.h"
-#include "sim/simulator.h"
+#include "mc/model_check.h"
+#include "sim/execution_state.h"
 #include "util/rng.h"
 
 namespace udring {
@@ -63,11 +66,13 @@ TEST_P(PooledRunSweep, BackToBackPooledRunsMatchFreshRuns) {
     // Fresh-object reference executions.
     const core::RunReport fresh_first = core::run_algorithm(algorithm, first);
     const core::RunReport fresh_second = core::run_algorithm(algorithm, second);
-    auto fresh_sim = core::make_simulator(algorithm, second);
+    const sim::Instance fresh_sim_instance =
+        core::make_instance(algorithm, second);
+    sim::ExecutionState fresh_sim(fresh_sim_instance);
     auto fresh_sched = sim::make_scheduler(GetParam(), second.seed,
                                            second.homes.size());
-    (void)fresh_sim->run(*fresh_sched);
-    const std::uint64_t fresh_digest = fresh_sim->log().digest();
+    (void)fresh_sim.run(*fresh_sched);
+    const std::uint64_t fresh_digest = fresh_sim.log().digest();
 
     // Pooled: one context, two runs — the second must not see the first.
     core::RunContext ctx;
@@ -88,9 +93,11 @@ TEST_P(PooledRunSweep, ReusedSchedulerObjectMatchesFreshScheduler) {
   // scheduler state that survives reset() — the BurstScheduler RNG bug.
   const core::RunSpec spec = make_spec(20, 5, GetParam(), 7);
   const auto run_with = [&](sim::Scheduler& sched) {
-    auto sim = core::make_simulator(core::Algorithm::KnownKFull, spec);
-    (void)sim->run(sched);
-    return sim->log().digest();
+    const sim::Instance instance =
+        core::make_instance(core::Algorithm::KnownKFull, spec);
+    sim::ExecutionState sim(instance);
+    (void)sim.run(sched);
+    return sim.log().digest();
   };
   auto reused = sim::make_scheduler(GetParam(), spec.seed, spec.homes.size());
   const std::uint64_t first = run_with(*reused);
@@ -136,9 +143,11 @@ TEST(SchedulerPooling, BurstSchedulerReseedsItsRngOnReset) {
 TEST(SchedulerPooling, DefaultPriorityMatchesExplicitDescendingOrder) {
   const core::RunSpec spec = make_spec(16, 4, sim::SchedulerKind::Priority, 3);
   const auto digest_with = [&](sim::Scheduler& sched) {
-    auto sim = core::make_simulator(core::Algorithm::KnownKFull, spec);
-    (void)sim->run(sched);
-    return sim->log().digest();
+    const sim::Instance instance =
+        core::make_instance(core::Algorithm::KnownKFull, spec);
+    sim::ExecutionState sim(instance);
+    (void)sim.run(sched);
+    return sim.log().digest();
   };
   sim::PriorityScheduler pooled_form;  // order derived at reset()
   sim::PriorityScheduler explicit_form({3, 2, 1, 0});
@@ -146,6 +155,9 @@ TEST(SchedulerPooling, DefaultPriorityMatchesExplicitDescendingOrder) {
 }
 
 // ---- ExecutionState::reset across sizes -------------------------------------
+
+// A state never owns its Instance, so it cannot be built from a temporary.
+static_assert(!std::is_constructible_v<sim::ExecutionState, sim::Instance&&>);
 
 TEST(ExecutionStatePooling, ResetAcrossSizesMatchesFreshConstruction) {
   const auto factory = core::make_program_factory(core::Algorithm::KnownKFull, 3);
@@ -159,16 +171,20 @@ TEST(ExecutionStatePooling, ResetAcrossSizesMatchesFreshConstruction) {
   sim::ExecutionState pooled;
   sim::RoundRobinScheduler scheduler;
   // big → small → big: shrinking and regrowing must not leak state.
+  // The fresh side is the one-shot constructor, so this also pins
+  // ExecutionState(instance) == default construction + reset(instance).
   for (const sim::Instance* instance : {&big, &small, &big}) {
     pooled.reset(*instance);
     (void)pooled.run(scheduler);
-    sim::ExecutionState fresh;
-    fresh.reset(*instance);
+    sim::ExecutionState fresh(*instance);
     sim::RoundRobinScheduler fresh_scheduler;
     (void)fresh.run(fresh_scheduler);
     EXPECT_EQ(pooled.log().digest(), fresh.log().digest());
     EXPECT_EQ(pooled.staying_nodes(), fresh.staying_nodes());
     EXPECT_EQ(pooled.metrics().total_moves(), fresh.metrics().total_moves());
+    EXPECT_EQ(pooled.metrics().makespan(), fresh.metrics().makespan());
+    EXPECT_EQ(pooled.metrics().moves_by_phase(),
+              fresh.metrics().moves_by_phase());
     EXPECT_EQ(pooled.total_tokens(), fresh.total_tokens());
   }
 }
@@ -187,41 +203,6 @@ TEST(ExecutionStatePooling, DefaultConstructedStateIsUnboundUntilReset) {
 }
 
 // ---- batch drivers ----------------------------------------------------------
-
-TEST(RunBatch, MatchesIndividualRuns) {
-  const auto factory = core::make_program_factory(core::Algorithm::KnownKFull, 2);
-  const auto factory3 =
-      core::make_program_factory(core::Algorithm::KnownKFull, 3);
-  sim::SimOptions options;
-  options.record_events = true;
-  const sim::Instance a(12, {0, 5}, factory, options);
-  const sim::Instance b(15, {1, 6, 11}, factory3, options);
-  const sim::Instance c(7, {2, 4}, factory, options);
-  const std::vector<const sim::Instance*> batch = {&a, &b, &c};
-
-  sim::RoundRobinScheduler scheduler;
-  sim::ExecutionState state;
-  std::vector<std::uint64_t> digests;
-  std::vector<std::vector<sim::NodeId>> positions;
-  const std::size_t executed = sim::run_batch(
-      state, batch, [&](std::size_t) -> sim::Scheduler& { return scheduler; },
-      [&](std::size_t, const sim::ExecutionState& finished,
-          const sim::RunResult& result) {
-        EXPECT_TRUE(result.quiescent());
-        digests.push_back(finished.log().digest());
-        positions.push_back(finished.staying_nodes());
-      });
-  ASSERT_EQ(executed, 3u);
-
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    sim::ExecutionState fresh;
-    fresh.reset(*batch[i]);
-    sim::RoundRobinScheduler fresh_scheduler;
-    (void)fresh.run(fresh_scheduler);
-    EXPECT_EQ(digests[i], fresh.log().digest()) << "batch item " << i;
-    EXPECT_EQ(positions[i], fresh.staying_nodes()) << "batch item " << i;
-  }
-}
 
 TEST(RunMany, MatchesRunAlgorithmPerSpec) {
   std::vector<core::RunSpec> specs;

@@ -117,28 +117,27 @@ TEST(ProblemSpec, OracleNamesMatchTheResolvedProblem) {
 
 // ---- goal oracles -----------------------------------------------------------
 
-/// Runs `algorithm` on (n, homes) under a synchronous scheduler and returns
-/// the quiesced simulator for direct oracle inspection.
-std::unique_ptr<sim::Simulator> run_to_quiescence(
-    core::Algorithm algorithm, std::size_t n, std::vector<std::size_t> homes,
-    const core::ProblemSpec& problem = {}) {
+/// Runs `algorithm` on (n, homes) in `context` and returns the quiesced
+/// state for direct oracle inspection.
+const sim::ExecutionState& run_to_quiescence(core::RunContext& context,
+                                             core::Algorithm algorithm,
+                                             std::size_t n,
+                                             std::vector<std::size_t> homes) {
   core::RunSpec spec;
   spec.node_count = n;
   spec.homes = std::move(homes);
   spec.seed = 7;
-  spec.problem = problem;
-  auto sim = core::make_simulator(algorithm, spec);
-  auto scheduler =
-      sim::make_scheduler(spec.scheduler, spec.seed, spec.homes.size());
-  (void)sim->run(*scheduler);
-  return sim;
+  (void)context.run(algorithm, spec);
+  return context.state();
 }
 
 TEST(GoalOracle, CheckActionDefaultsToTheModelInvariants) {
-  const auto sim = run_to_quiescence(core::Algorithm::KnownKFull, 8, {0, 3});
+  core::RunContext context;
+  const sim::ExecutionState& sim =
+      run_to_quiescence(context, core::Algorithm::KnownKFull, 8, {0, 3});
   const sim::UniformDeploymentOracle oracle(true);
-  const sim::CheckResult via_oracle = oracle.check_action(*sim, 0);
-  const sim::CheckResult direct = sim::check_model_invariants(*sim, 0);
+  const sim::CheckResult via_oracle = oracle.check_action(sim, 0);
+  const sim::CheckResult direct = sim::check_model_invariants(sim, 0);
   EXPECT_EQ(via_oracle.ok, direct.ok);
   EXPECT_EQ(via_oracle.reason, direct.reason);
 }
@@ -148,29 +147,33 @@ TEST(GoalOracle, CheckActionDefaultsToTheModelInvariants) {
 TEST(GoalPredicates, PartialGatheringAcceptsAndPinsNearMissReason) {
   // n=6, homes {0, 2}: d-sequences (2,4)/(4,2), period 2 >= g=2 — both
   // agents gather at node 0.
-  const auto sim = run_to_quiescence(core::Algorithm::GatherRing, 6, {0, 2});
-  EXPECT_TRUE(sim::check_partial_gathering(*sim, 2).ok);
+  core::RunContext context;
+  const sim::ExecutionState& sim =
+      run_to_quiescence(context, core::Algorithm::GatherRing, 6, {0, 2});
+  EXPECT_TRUE(sim::check_partial_gathering(sim, 2).ok);
   // The same final configuration is a near miss for g=3: the reason string
   // is pinned (shrinker prefix classes + gtest messages rely on it).
-  const sim::CheckResult miss = sim::check_partial_gathering(*sim, 3);
+  const sim::CheckResult miss = sim::check_partial_gathering(sim, 3);
   EXPECT_FALSE(miss.ok);
   EXPECT_EQ(miss.reason,
             "node 0 hosts 2 agent(s); g-partial gathering requires at least 3");
-  EXPECT_FALSE(sim::PartialGatheringOracle(3).check_goal(*sim).ok);
+  EXPECT_FALSE(sim::PartialGatheringOracle(3).check_goal(sim).ok);
 }
 
 TEST(GoalPredicates, DispersionAcceptsAndPinsNearMissReason) {
-  const auto dispersed =
-      run_to_quiescence(core::Algorithm::DisperseRing, 6, {0, 2});
-  EXPECT_TRUE(sim::check_dispersed(*dispersed).ok);
+  core::RunContext dispersed_run;
+  const sim::ExecutionState& dispersed = run_to_quiescence(
+      dispersed_run, core::Algorithm::DisperseRing, 6, {0, 2});
+  EXPECT_TRUE(sim::check_dispersed(dispersed).ok);
   // A gathered configuration is the canonical dispersion near miss.
-  const auto gathered =
-      run_to_quiescence(core::Algorithm::GatherRing, 6, {0, 2});
-  const sim::CheckResult miss = sim::check_dispersed(*gathered);
+  core::RunContext gathered_run;
+  const sim::ExecutionState& gathered =
+      run_to_quiescence(gathered_run, core::Algorithm::GatherRing, 6, {0, 2});
+  const sim::CheckResult miss = sim::check_dispersed(gathered);
   EXPECT_FALSE(miss.ok);
   EXPECT_EQ(miss.reason,
             "node 0 hosts 2 settled agents; dispersion requires exactly one");
-  EXPECT_FALSE(sim::DispersionOracle().check_goal(*gathered).ok);
+  EXPECT_FALSE(sim::DispersionOracle().check_goal(gathered).ok);
 }
 
 // ---- the new algorithm families ---------------------------------------------

@@ -86,12 +86,13 @@ TEST(Tokens, EveryHomeKeepsExactlyOneToken) {
     RunSpec spec;
     spec.node_count = n;
     spec.homes = gen::random_homes(n, k, rng);
-    auto simulator = make_simulator(algorithm, spec);
+    const sim::Instance instance = make_instance(algorithm, spec);
+    sim::ExecutionState simulator(instance);
     sim::RoundRobinScheduler scheduler;
-    (void)simulator->run(scheduler);
-    EXPECT_EQ(simulator->total_tokens(), k) << to_string(algorithm);
+    (void)simulator.run(scheduler);
+    EXPECT_EQ(simulator.total_tokens(), k) << to_string(algorithm);
     for (const std::size_t home : spec.homes) {
-      EXPECT_EQ(simulator->tokens(home), 1u)
+      EXPECT_EQ(simulator.tokens(home), 1u)
           << to_string(algorithm) << " home " << home;
     }
   }
@@ -117,13 +118,14 @@ TEST(ModelInvariants, HoldThroughoutEveryAlgorithmsExecution) {
     RunSpec spec;
     spec.node_count = 18;
     spec.homes = gen::random_homes(18, 5, rng);
-    auto simulator = make_simulator(algorithm, spec);
+    const sim::Instance instance = make_instance(algorithm, spec);
+    sim::ExecutionState simulator(instance);
     sim::RandomScheduler scheduler(17);
-    scheduler.reset(simulator->agent_count());
+    scheduler.reset(simulator.agent_count());
     std::size_t peak_tokens = 0;
-    while (simulator->step(scheduler)) {
-      peak_tokens = std::max(peak_tokens, simulator->total_tokens());
-      const auto check = sim::check_model_invariants(*simulator, peak_tokens);
+    while (simulator.step(scheduler)) {
+      peak_tokens = std::max(peak_tokens, simulator.total_tokens());
+      const auto check = sim::check_model_invariants(simulator, peak_tokens);
       ASSERT_TRUE(check.ok) << to_string(algorithm) << ": " << check.reason;
     }
   }

@@ -22,13 +22,14 @@ TEST(Rendezvous, GathersOnAperiodicConfiguration) {
   RunSpec spec;
   spec.node_count = 12;
   spec.homes = gen::fig1a_homes();  // l = 1
-  auto simulator = make_simulator(Algorithm::Rendezvous, spec);
+  const sim::Instance instance = make_instance(Algorithm::Rendezvous, spec);
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
-  const auto result = simulator->run(scheduler);
+  const auto result = simulator.run(scheduler);
   ASSERT_TRUE(result.quiescent());
-  EXPECT_TRUE(sim::check_gathered(*simulator).ok);
-  for (sim::AgentId id = 0; id < simulator->agent_count(); ++id) {
-    const auto& agent = dynamic_cast<const RendezvousAgent&>(simulator->program(id));
+  EXPECT_TRUE(sim::check_gathered(simulator).ok);
+  for (sim::AgentId id = 0; id < simulator.agent_count(); ++id) {
+    const auto& agent = dynamic_cast<const RendezvousAgent&>(simulator.program(id));
     EXPECT_FALSE(agent.detected_unsolvable());
   }
 }
@@ -39,27 +40,31 @@ TEST(Rendezvous, GathersAtTheLexminBaseNode) {
   RunSpec spec;
   spec.node_count = 12;
   spec.homes = {0, 1, 5, 7};
-  auto simulator = make_simulator(Algorithm::Rendezvous, spec);
+  const sim::Instance instance = make_instance(Algorithm::Rendezvous, spec);
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
-  (void)simulator->run(scheduler);
-  ASSERT_TRUE(sim::check_gathered(*simulator).ok);
-  EXPECT_EQ(simulator->staying_nodes().front(), 0u);
+  (void)simulator.run(scheduler);
+  ASSERT_TRUE(sim::check_gathered(simulator).ok);
+  EXPECT_EQ(simulator.staying_nodes().front(), 0u);
 }
 
 TEST(Rendezvous, DetectsPeriodicAsUnsolvable) {
   RunSpec spec;
   spec.node_count = gen::kFig1bNodes;
   spec.homes = gen::fig1b_homes();  // l = 2
-  auto simulator = make_simulator(Algorithm::Rendezvous, spec);
+  const sim::Instance instance = make_instance(Algorithm::Rendezvous, spec);
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
-  const auto result = simulator->run(scheduler);
+  const auto result = simulator.run(scheduler);
   ASSERT_TRUE(result.quiescent());
-  for (sim::AgentId id = 0; id < simulator->agent_count(); ++id) {
-    const auto& agent = dynamic_cast<const RendezvousAgent&>(simulator->program(id));
+  for (sim::AgentId id = 0; id < simulator.agent_count(); ++id) {
+    const auto& agent = dynamic_cast<const RendezvousAgent&>(simulator.program(id));
     EXPECT_TRUE(agent.detected_unsolvable());
   }
-  EXPECT_FALSE(sim::check_gathered(*simulator).ok);
-  EXPECT_TRUE(evaluate_goal(Algorithm::Rendezvous, *simulator).ok)
+  EXPECT_FALSE(sim::check_gathered(simulator).ok);
+  EXPECT_TRUE(make_goal_oracle(Algorithm::Rendezvous, {})
+                  ->check_goal(simulator)
+                  .ok)
       << "correctly detected unsolvability counts as success";
 }
 
@@ -87,14 +92,15 @@ TEST_P(RendezvousSweep, OutcomeMatchesConfigurationPeriodicity) {
   spec.node_count = n;
   spec.homes = gen::random_homes(n, k, rng);
   const bool periodic = config_symmetry_degree(spec.homes, n) > 1;
-  auto simulator = make_simulator(Algorithm::Rendezvous, spec);
+  const sim::Instance instance = make_instance(Algorithm::Rendezvous, spec);
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
-  const auto result = simulator->run(scheduler);
+  const auto result = simulator.run(scheduler);
   ASSERT_TRUE(result.quiescent());
   if (periodic) {
-    EXPECT_FALSE(sim::check_gathered(*simulator).ok);
+    EXPECT_FALSE(sim::check_gathered(simulator).ok);
   } else {
-    EXPECT_TRUE(sim::check_gathered(*simulator).ok)
+    EXPECT_TRUE(sim::check_gathered(simulator).ok)
         << "n=" << n << " k=" << k << " seed=" << seed;
   }
 }

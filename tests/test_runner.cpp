@@ -57,11 +57,14 @@ TEST(Runner, GoalDistinguishesDefinitionOneFromTwo) {
   spec.homes = {0, 5, 7};
   // The relaxed algorithm suspends — it must FAIL Definition 1's oracle and
   // pass Definition 2's.
-  auto simulator = make_simulator(Algorithm::UnknownRelaxed, spec);
+  const sim::Instance instance = make_instance(Algorithm::UnknownRelaxed, spec);
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
-  (void)simulator->run(scheduler);
-  EXPECT_FALSE(sim::UniformDeploymentOracle(true).check_goal(*simulator).ok);
-  EXPECT_TRUE(evaluate_goal(Algorithm::UnknownRelaxed, *simulator).ok);
+  (void)simulator.run(scheduler);
+  EXPECT_FALSE(sim::UniformDeploymentOracle(true).check_goal(simulator).ok);
+  EXPECT_TRUE(make_goal_oracle(Algorithm::UnknownRelaxed, {})
+                  ->check_goal(simulator)
+                  .ok);
 }
 
 TEST(Runner, ActionLimitIsReportedAsFailure) {

@@ -13,7 +13,7 @@
 #include <memory>
 #include <set>
 
-#include "sim/simulator.h"
+#include "sim/execution_state.h"
 #include "support/test_agents.h"
 #include "util/rng.h"
 
@@ -243,8 +243,10 @@ TEST(Factory, ProducesEveryKind) {
 
 TEST(AllSchedulers, DriveAMultiAgentWorkloadToQuiescence) {
   for (const SchedulerKind kind : all_scheduler_kinds()) {
-    Simulator sim(12, {0, 3, 7, 9},
-                  [](AgentId) { return std::make_unique<WalkerAgent>(25); });
+    const Instance instance(
+        12, {0, 3, 7, 9},
+        [](AgentId) { return std::make_unique<WalkerAgent>(25); });
+    ExecutionState sim(instance);
     const auto scheduler = make_scheduler(kind, 11, sim.agent_count());
     const RunResult result = sim.run(*scheduler);
     EXPECT_TRUE(result.quiescent()) << to_string(kind);
@@ -257,10 +259,12 @@ TEST(AllSchedulers, NeverPickADisabledAgent) {
   // Run a mixed workload and assert (via step()) that execution only ever
   // touches enabled agents — the simulator throws on a non-head pick.
   for (const SchedulerKind kind : all_scheduler_kinds()) {
-    Simulator sim(10, {0, 2, 4, 8}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
-      if (id % 2 == 0) return std::make_unique<WalkerAgent>(17);
-      return std::make_unique<SitterAgent>(5);
-    });
+    const Instance instance(
+        10, {0, 2, 4, 8}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
+          if (id % 2 == 0) return std::make_unique<WalkerAgent>(17);
+          return std::make_unique<SitterAgent>(5);
+        });
+    ExecutionState sim(instance);
     const auto scheduler = make_scheduler(kind, 23, sim.agent_count());
     scheduler->reset(sim.agent_count());
     EXPECT_NO_THROW({

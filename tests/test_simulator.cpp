@@ -1,10 +1,10 @@
-// Tests for sim/simulator.h — the execution model itself. These pin down the
+// Tests for sim/execution_state.h — the execution model itself. They pin the
 // §2.1 semantics the algorithms' correctness proofs lean on: atomic actions,
 // FIFO links (no overtaking), the initial-buffer/home-first rule, message
 // delivery to staying agents only, Definition-1/2 terminal states, causal
 // ideal-time stamps, and deterministic replay.
 
-#include "sim/simulator.h"
+#include "sim/execution_state.h"
 
 #include <gtest/gtest.h>
 
@@ -32,15 +32,17 @@ using test::WalkerAgent;
 
 TEST(SimulatorConstruction, ValidatesConfiguration) {
   const auto factory = [](AgentId) { return std::make_unique<SitterAgent>(0); };
-  EXPECT_THROW(Simulator(5, {}, factory), std::invalid_argument);
-  EXPECT_THROW(Simulator(5, {0, 0}, factory), std::invalid_argument);
-  EXPECT_THROW(Simulator(5, {0, 5}, factory), std::invalid_argument);
-  EXPECT_THROW(Simulator(2, {0, 1, 0}, factory), std::invalid_argument);
-  EXPECT_NO_THROW(Simulator(5, {0, 2, 4}, factory));
+  EXPECT_THROW(Instance(5, {}, factory), std::invalid_argument);
+  EXPECT_THROW(Instance(5, {0, 0}, factory), std::invalid_argument);
+  EXPECT_THROW(Instance(5, {0, 5}, factory), std::invalid_argument);
+  EXPECT_THROW(Instance(2, {0, 1, 0}, factory), std::invalid_argument);
+  EXPECT_NO_THROW(Instance(5, {0, 2, 4}, factory));
 }
 
 TEST(SimulatorConstruction, AgentsStartInTransitToTheirHomes) {
-  Simulator sim(6, {1, 4}, [](AgentId) { return std::make_unique<SitterAgent>(1); });
+  const Instance instance(
+      6, {1, 4}, [](AgentId) { return std::make_unique<SitterAgent>(1); });
+  ExecutionState sim(instance);
   EXPECT_EQ(sim.status(0), AgentStatus::InTransit);
   EXPECT_EQ(sim.status(1), AgentStatus::InTransit);
   EXPECT_EQ(sim.agent_node(0), 1u);
@@ -51,7 +53,9 @@ TEST(SimulatorConstruction, AgentsStartInTransitToTheirHomes) {
 }
 
 TEST(SimulatorRun, WalkerMovesExactlyItsSteps) {
-  Simulator sim(8, {3}, [](AgentId) { return std::make_unique<WalkerAgent>(5); });
+  const Instance instance(
+      8, {3}, [](AgentId) { return std::make_unique<WalkerAgent>(5); });
+  ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   const RunResult result = sim.run(scheduler);
   EXPECT_TRUE(result.quiescent());
@@ -65,7 +69,9 @@ TEST(SimulatorRun, CausalTimeEqualsMovesPlusArrival) {
   // One continuously moving agent: ideal time = initial arrival + one per
   // move (§2.2: "the ideal time complexity is equivalent to the number of
   // moves for the agent").
-  Simulator sim(10, {0}, [](AgentId) { return std::make_unique<WalkerAgent>(7); });
+  const Instance instance(
+      10, {0}, [](AgentId) { return std::make_unique<WalkerAgent>(7); });
+  ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   (void)sim.run(scheduler);
   EXPECT_EQ(sim.metrics().makespan(), 8u);
@@ -73,8 +79,10 @@ TEST(SimulatorRun, CausalTimeEqualsMovesPlusArrival) {
 
 TEST(SimulatorRun, ParallelWalkersShareTheClock) {
   // k walkers moving in lockstep: makespan must not grow with k.
-  Simulator sim(12, {0, 4, 8},
-                [](AgentId) { return std::make_unique<WalkerAgent>(6); });
+  const Instance instance(
+      12, {0, 4, 8},
+      [](AgentId) { return std::make_unique<WalkerAgent>(6); });
+  ExecutionState sim(instance);
   SynchronousScheduler scheduler;
   (void)sim.run(scheduler);
   EXPECT_EQ(sim.metrics().makespan(), 7u);
@@ -84,8 +92,10 @@ TEST(SimulatorRun, ParallelWalkersShareTheClock) {
 TEST(SimulatorRun, ActionLimitStopsLivelocks) {
   SimOptions options;
   options.max_actions = 50;
-  Simulator sim(4, {0}, [](AgentId) { return std::make_unique<EndlessWalkerAgent>(); },
-                options);
+  const Instance instance(
+      4, {0}, [](AgentId) { return std::make_unique<EndlessWalkerAgent>(); },
+      options);
+  ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   const RunResult result = sim.run(scheduler);
   EXPECT_EQ(result.outcome, RunResult::Outcome::ActionLimit);
@@ -98,13 +108,14 @@ TEST(HomeFirstRule, VisitorQueuesBehindTheHomeAgent) {
   // agent 0's first action (at its home) before agent 1 can arrive there.
   SimOptions options;
   options.record_events = true;
-  Simulator sim(
+  const Instance instance(
       6, {3, 1},
       [](AgentId id) -> std::unique_ptr<AgentProgram> {
         if (id == 0) return std::make_unique<WalkerAgent>(0, /*drop_token=*/true);
         return std::make_unique<WalkerAgent>(4);
       },
       options);
+  ExecutionState sim(instance);
   PriorityScheduler scheduler({1, 0});  // starve agent 0
   (void)sim.run(scheduler);
 
@@ -124,10 +135,14 @@ TEST(HomeFirstRule, VisitorQueuesBehindTheHomeAgent) {
 TEST(HomeFirstRule, TokenIsVisibleToTheFirstVisitor) {
   // Because of the home-first rule, a visitor can never see a home node
   // without its token: agent 1 probes every node it passes.
-  Simulator sim(6, {3, 1}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
-    if (id == 0) return std::make_unique<WalkerAgent>(0, /*drop_token=*/true);
-    return std::make_unique<ProberAgent>(5);
-  });
+  const Instance instance(
+      6, {3, 1}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
+        if (id == 0) {
+          return std::make_unique<WalkerAgent>(0, /*drop_token=*/true);
+        }
+        return std::make_unique<ProberAgent>(5);
+      });
+  ExecutionState sim(instance);
   PriorityScheduler scheduler({1, 0});
   (void)sim.run(scheduler);
 
@@ -143,8 +158,10 @@ TEST(Fifo, ArrivalOrderMatchesDepartureOrderOnEveryLink) {
   // per-link arrival order must still match departure order.
   SimOptions options;
   options.record_events = true;
-  Simulator sim(5, {0, 2},
-                [](AgentId) { return std::make_unique<WalkerAgent>(13); }, options);
+  const Instance instance(
+      5, {0, 2},
+      [](AgentId) { return std::make_unique<WalkerAgent>(13); }, options);
+  ExecutionState sim(instance);
   RandomScheduler scheduler(99);
   (void)sim.run(scheduler);
 
@@ -170,11 +187,13 @@ TEST(Fifo, ArrivalOrderMatchesDepartureOrderOnEveryLink) {
 TEST(Messaging, BroadcastReachesOnlyStayingAgents) {
   // Collector sits at node 2 (in the messenger's path); a second walker is
   // in transit somewhere. Only the collector may receive.
-  Simulator sim(6, {0, 2, 4}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
-    if (id == 0) return std::make_unique<MessengerAgent>(2, "hello");
-    if (id == 1) return std::make_unique<CollectorAgent>(1);
-    return std::make_unique<WalkerAgent>(6);
-  });
+  const Instance instance(
+      6, {0, 2, 4}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
+        if (id == 0) return std::make_unique<MessengerAgent>(2, "hello");
+        if (id == 1) return std::make_unique<CollectorAgent>(1);
+        return std::make_unique<WalkerAgent>(6);
+      });
+  ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   const RunResult result = sim.run(scheduler);
   EXPECT_TRUE(result.quiescent());
@@ -186,11 +205,13 @@ TEST(Messaging, BroadcastReachesOnlyStayingAgents) {
 TEST(Messaging, AllPendingMessagesDeliverInOneAction) {
   // Two messengers drop a message at node 3 before the suspended agent is
   // scheduled; the model delivers both in a single action.
-  Simulator sim(8, {1, 2, 3}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
-    if (id == 0) return std::make_unique<MessengerAgent>(2, "a");
-    if (id == 1) return std::make_unique<MessengerAgent>(1, "b");
-    return std::make_unique<SuspenderAgent>();
-  });
+  const Instance instance(
+      8, {1, 2, 3}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
+        if (id == 0) return std::make_unique<MessengerAgent>(2, "a");
+        if (id == 1) return std::make_unique<MessengerAgent>(1, "b");
+        return std::make_unique<SuspenderAgent>();
+      });
+  ExecutionState sim(instance);
   // Priority: run both messengers to completion before the suspender acts.
   PriorityScheduler scheduler({0, 1, 2});
   (void)sim.run(scheduler);
@@ -202,10 +223,12 @@ TEST(Messaging, AllPendingMessagesDeliverInOneAction) {
 
 TEST(Messaging, HaltedAgentsIgnoreMessages) {
   // Definition 1: a halted agent neither changes state nor wakes.
-  Simulator sim(6, {0, 2}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
-    if (id == 0) return std::make_unique<SitterAgent>(0);  // halts immediately
-    return std::make_unique<MessengerAgent>(4, "ping");    // 2 + 4 = node 0
-  });
+  const Instance instance(
+      6, {0, 2}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
+        if (id == 0) return std::make_unique<SitterAgent>(0);  // halts at once
+        return std::make_unique<MessengerAgent>(4, "ping");  // 2 + 4 = node 0
+      });
+  ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   const RunResult result = sim.run(scheduler);
   EXPECT_TRUE(result.quiescent());
@@ -215,10 +238,12 @@ TEST(Messaging, HaltedAgentsIgnoreMessages) {
 }
 
 TEST(Messaging, SuspendedAgentWakesOnMessage) {
-  Simulator sim(6, {0, 3}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
-    if (id == 0) return std::make_unique<SuspenderAgent>();
-    return std::make_unique<MessengerAgent>(3, "wake");  // 3 + 3 = node 0
-  });
+  const Instance instance(
+      6, {0, 3}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
+        if (id == 0) return std::make_unique<SuspenderAgent>();
+        return std::make_unique<MessengerAgent>(3, "wake");  // 3 + 3 = node 0
+      });
+  ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   const RunResult result = sim.run(scheduler);
   EXPECT_TRUE(result.quiescent());
@@ -230,10 +255,12 @@ TEST(Messaging, SuspendedAgentWakesOnMessage) {
 TEST(Messaging, WakeTimestampFollowsSender) {
   // The woken agent's next action must be causally after the sender's
   // broadcast action.
-  Simulator sim(6, {0, 3}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
-    if (id == 0) return std::make_unique<SuspenderAgent>();
-    return std::make_unique<MessengerAgent>(3, "wake");
-  });
+  const Instance instance(
+      6, {0, 3}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
+        if (id == 0) return std::make_unique<SuspenderAgent>();
+        return std::make_unique<MessengerAgent>(3, "wake");
+      });
+  ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   (void)sim.run(scheduler);
   // Messenger: arrival(home)=1 + 3 moves → broadcast at ts 4. Suspender's
@@ -245,10 +272,12 @@ TEST(Messaging, WakeTimestampFollowsSender) {
 TEST(Observation, InTransitAgentsAreInvisible) {
   // A prober passes a node whose queue holds a never-scheduled agent: it
   // must see no one (agents in q_i are not in p_i).
-  Simulator sim(6, {0, 3}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
-    if (id == 0) return std::make_unique<ProberAgent>(5);
-    return std::make_unique<SitterAgent>(2);
-  });
+  const Instance instance(
+      6, {0, 3}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
+        if (id == 0) return std::make_unique<ProberAgent>(5);
+        return std::make_unique<SitterAgent>(2);
+      });
+  ExecutionState sim(instance);
   // Never run agent 1: it stays in transit inside node 3's queue... except
   // the prober queues behind it at node 3 and forces it through. Its first
   // action makes it Staying, so the prober *does* see it at node 3. Probe
@@ -264,7 +293,9 @@ TEST(Observation, InTransitAgentsAreInvisible) {
 }
 
 TEST(Quiescence, WaitingWithoutMessagesIsQuiescentButNotSuspended) {
-  Simulator sim(4, {0}, [](AgentId) { return std::make_unique<CollectorAgent>(1); });
+  const Instance instance(
+      4, {0}, [](AgentId) { return std::make_unique<CollectorAgent>(1); });
+  ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   const RunResult result = sim.run(scheduler);
   EXPECT_TRUE(result.quiescent()) << "communication deadlock still quiesces";
@@ -274,7 +305,9 @@ TEST(Quiescence, WaitingWithoutMessagesIsQuiescentButNotSuspended) {
 }
 
 TEST(Quiescence, StepAgentRejectsDisabledAgents) {
-  Simulator sim(4, {0, 2}, [](AgentId) { return std::make_unique<SitterAgent>(1); });
+  const Instance instance(
+      4, {0, 2}, [](AgentId) { return std::make_unique<SitterAgent>(1); });
+  ExecutionState sim(instance);
   EXPECT_TRUE(sim.step_agent(0));
   // Agent 0 now stayed once; agent 1 still in transit (enabled).
   EXPECT_TRUE(sim.step_agent(1));
@@ -287,8 +320,10 @@ TEST(Quiescence, StepAgentRejectsDisabledAgents) {
 
 TEST(Determinism, SameSeedSameExecution) {
   const auto run_once = [](std::uint64_t seed) {
-    Simulator sim(16, {0, 3, 7, 12},
-                  [](AgentId) { return std::make_unique<WalkerAgent>(20); });
+    const Instance instance(
+        16, {0, 3, 7, 12},
+        [](AgentId) { return std::make_unique<WalkerAgent>(20); });
+    ExecutionState sim(instance);
     RandomScheduler scheduler(seed);
     (void)sim.run(scheduler);
     return std::make_tuple(sim.metrics().total_moves(), sim.metrics().makespan(),
@@ -299,14 +334,18 @@ TEST(Determinism, SameSeedSameExecution) {
 }
 
 TEST(Errors, AgentExceptionPropagates) {
-  Simulator sim(4, {1}, [](AgentId) { return std::make_unique<ThrowerAgent>(); });
+  const Instance instance(
+      4, {1}, [](AgentId) { return std::make_unique<ThrowerAgent>(); });
+  ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   EXPECT_THROW((void)sim.run(scheduler), std::runtime_error);
 }
 
 TEST(Invariants, HoldAfterEveryStepOfARandomRun) {
-  Simulator sim(10, {0, 2, 5, 8},
-                [](AgentId) { return std::make_unique<WalkerAgent>(15, true); });
+  const Instance instance(
+      10, {0, 2, 5, 8},
+      [](AgentId) { return std::make_unique<WalkerAgent>(15, true); });
+  ExecutionState sim(instance);
   RandomScheduler scheduler(2718);
   scheduler.reset(sim.agent_count());
   std::size_t tokens_so_far = 0;
@@ -319,10 +358,12 @@ TEST(Invariants, HoldAfterEveryStepOfARandomRun) {
 }
 
 TEST(Snapshot, ReflectsConfiguration) {
-  Simulator sim(5, {0, 2}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
-    if (id == 0) return std::make_unique<WalkerAgent>(1, true);
-    return std::make_unique<SitterAgent>(0);
-  });
+  const Instance instance(
+      5, {0, 2}, [](AgentId id) -> std::unique_ptr<AgentProgram> {
+        if (id == 0) return std::make_unique<WalkerAgent>(1, true);
+        return std::make_unique<SitterAgent>(0);
+      });
+  ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   (void)sim.run(scheduler);
   const Snapshot snap = sim.snapshot();
@@ -338,7 +379,7 @@ TEST(Snapshot, ReflectsConfiguration) {
 // ---- the enabled set's bitset view against its list --------------------------
 
 /// The reference the bitset view replaces: copy the list, sort, search.
-void expect_rank_select_match_sorted_copy(const Simulator& sim) {
+void expect_rank_select_match_sorted_copy(const ExecutionState& sim) {
   const EnabledSet& enabled = sim.enabled();
   std::vector<AgentId> sorted = enabled.list();
   std::sort(sorted.begin(), sorted.end());
@@ -374,9 +415,10 @@ TEST(EnabledRank, RankAndSelectMatchSortedCopyOnRandomEnabledSets) {
     for (std::size_t i = 0; i < k; ++i) homes[i] = i;
     std::vector<std::size_t> steps(k);
     for (std::size_t& s : steps) s = static_cast<std::size_t>(rng.below(3));
-    Simulator sim(k, homes, [&steps](AgentId id) {
+    const Instance instance(k, homes, [&steps](AgentId id) {
       return std::make_unique<WalkerAgent>(steps[id]);
     });
+    ExecutionState sim(instance);
     const std::size_t check_every = std::max<std::size_t>(1, k / 8);
     ASSERT_NO_FATAL_FAILURE(expect_rank_select_match_sorted_copy(sim));
     for (std::size_t action = 1; !sim.quiescent(); ++action) {

@@ -40,22 +40,24 @@ TEST(Stress, InvariantsEveryStepUnderEveryScheduler) {
     RunSpec spec;
     spec.node_count = 60;
     spec.homes = gen::random_homes(60, 10, rng);
-    auto simulator = make_simulator(Algorithm::UnknownRelaxed, spec);
+    const sim::Instance instance =
+        make_instance(Algorithm::UnknownRelaxed, spec);
+    sim::ExecutionState simulator(instance);
     auto scheduler = sim::make_scheduler(kind, 7, 10);
     scheduler->reset(10);
     std::size_t peak_tokens = 0;
     std::size_t steps = 0;
-    while (simulator->step(*scheduler)) {
-      peak_tokens = std::max(peak_tokens, simulator->total_tokens());
+    while (simulator.step(*scheduler)) {
+      peak_tokens = std::max(peak_tokens, simulator.total_tokens());
       // Full invariant check every 64 steps (every step would be O(actions²)).
       if (++steps % 64 == 0) {
-        const auto check = sim::check_model_invariants(*simulator, peak_tokens);
+        const auto check = sim::check_model_invariants(simulator, peak_tokens);
         ASSERT_TRUE(check.ok) << sim::to_string(kind) << " step " << steps << ": "
                               << check.reason;
       }
     }
     ASSERT_TRUE(
-        sim::UniformDeploymentOracle(false).check_goal(*simulator).ok)
+        sim::UniformDeploymentOracle(false).check_goal(simulator).ok)
         << sim::to_string(kind);
   }
 }

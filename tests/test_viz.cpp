@@ -17,8 +17,9 @@ using test::SuspenderAgent;
 using test::WalkerAgent;
 
 TEST(AsciiRing, ShowsTokensAndHaltedAgents) {
-  sim::Simulator simulator(
+  const sim::Instance instance(
       6, {1, 4}, [](sim::AgentId) { return std::make_unique<WalkerAgent>(2, true); });
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
   (void)simulator.run(scheduler);
   const std::string art = render(simulator);
@@ -30,16 +31,18 @@ TEST(AsciiRing, ShowsTokensAndHaltedAgents) {
 }
 
 TEST(AsciiRing, ShowsSuspendedGlyph) {
-  sim::Simulator simulator(
+  const sim::Instance instance(
       4, {0}, [](sim::AgentId) { return std::make_unique<SuspenderAgent>(); });
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
   (void)simulator.run(scheduler);
   EXPECT_NE(render(simulator).find("A0z"), std::string::npos);
 }
 
 TEST(AsciiRing, WrapsLongRingsIntoRows) {
-  sim::Simulator simulator(
+  const sim::Instance instance(
       30, {0}, [](sim::AgentId) { return std::make_unique<WalkerAgent>(0); });
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
   (void)simulator.run(scheduler);
   const std::string art = render(simulator, 10);
@@ -53,8 +56,9 @@ TEST(AsciiRing, WrapsLongRingsIntoRows) {
 }
 
 TEST(GapSummary, ListsGapsAndBounds) {
-  sim::Simulator simulator(
+  const sim::Instance instance(
       8, {0, 4}, [](sim::AgentId) { return std::make_unique<WalkerAgent>(0); });
+  sim::ExecutionState simulator(instance);
   sim::RoundRobinScheduler scheduler;
   (void)simulator.run(scheduler);
   const std::string summary = gap_summary(simulator);
