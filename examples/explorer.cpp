@@ -96,6 +96,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = cli.get_u64("seed", 1, "rng seed");
   const bool trace = cli.get_flag("trace", "print every atomic action");
   const bool json = cli.get_flag("json", "emit the final state as JSON and exit");
+  cli.reject_unknown_flags();
   if (cli.wants_help()) {
     cli.print_help("udring explorer: any algorithm × configuration × scheduler");
     return EXIT_SUCCESS;

@@ -27,6 +27,7 @@
 int main(int argc, char** argv) {
   using namespace udring;
   Cli cli(argc, argv);
+  cli.reject_unknown_flags();
   if (cli.wants_help()) {
     cli.print_help("Theorem 5 demonstration: no termination detection without k or n");
     return EXIT_SUCCESS;

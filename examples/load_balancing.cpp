@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
   const std::size_t n = cli.get_size("n", 60, "ring size");
   const std::size_t k = cli.get_size("k", 5, "number of replica agents");
   const std::uint64_t seed = cli.get_u64("seed", 11, "rng seed");
+  cli.reject_unknown_flags();
   if (cli.wants_help()) {
     cli.print_help(
         "replica placement via uniform deployment (agents know neither k nor n)");

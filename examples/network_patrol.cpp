@@ -56,6 +56,7 @@ int main(int argc, char** argv) {
   const std::size_t n = cli.get_size("n", 48, "ring size (network nodes)");
   const std::size_t k = cli.get_size("k", 6, "number of patrol agents");
   const std::uint64_t seed = cli.get_u64("seed", 3, "rng seed");
+  cli.reject_unknown_flags();
   if (cli.wants_help()) {
     cli.print_help("patrol-service staleness before/after uniform deployment");
     return EXIT_SUCCESS;

@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
       cli.get("scheduler", "fair scheduler: round-robin|random|synchronous|priority|burst",
               "random")
           .value();
+  cli.reject_unknown_flags();
   if (cli.wants_help()) {
     cli.print_help("uniform deployment quickstart (Algorithm 1, known k)");
     return EXIT_SUCCESS;

@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   const std::size_t n = cli.get_size("n", 48, "ring size");
   const std::size_t k = cli.get_size("k", 8, "number of agents");
   const std::uint64_t seed = cli.get_u64("seed", 5, "rng seed");
+  cli.reject_unknown_flags();
   if (cli.wants_help()) {
     cli.print_help("relaxed uniform deployment cost as a function of symmetry degree");
     return EXIT_SUCCESS;

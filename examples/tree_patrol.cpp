@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
   const std::string shape =
       cli.get("shape", "tree shape: random|path|star|binary|caterpillar", "random")
           .value();
+  cli.reject_unknown_flags();
   if (cli.wants_help()) {
     cli.print_help("uniform deployment on trees via the Euler-tour embedding (§5)");
     return EXIT_SUCCESS;

@@ -1,10 +1,29 @@
 #include "util/cli.h"
 
+#include <algorithm>
 #include <array>
+#include <charconv>
 #include <iostream>
 #include <stdexcept>
 
 namespace udring {
+namespace {
+
+std::uint64_t parse_unsigned(const std::string& name,
+                             const std::string& value) {
+  std::uint64_t parsed = 0;
+  const auto [end, error] =
+      std::from_chars(value.data(), value.data() + value.size(), parsed);
+  if (value.empty() || error != std::errc{} ||
+      end != value.data() + value.size()) {
+    throw std::invalid_argument("--" + name +
+                                ": expected an unsigned decimal, got '" +
+                                value + "'");
+  }
+  return parsed;
+}
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
   program_ = argc > 0 ? argv[0] : "udring";
@@ -51,7 +70,7 @@ std::size_t Cli::get_size(const std::string& name, std::size_t fallback,
   register_flag(name, help, std::to_string(fallback));
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return static_cast<std::size_t>(std::stoull(it->second));
+  return static_cast<std::size_t>(parse_unsigned(name, it->second));
 }
 
 std::uint64_t Cli::get_u64(const std::string& name, std::uint64_t fallback,
@@ -59,13 +78,27 @@ std::uint64_t Cli::get_u64(const std::string& name, std::uint64_t fallback,
   register_flag(name, help, std::to_string(fallback));
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::stoull(it->second);
+  return parse_unsigned(name, it->second);
 }
 
 bool Cli::get_flag(const std::string& name, const std::string& help) {
   register_flag(name, help, "false");
   const auto it = values_.find(name);
   return it != values_.end() && it->second != "false" && it->second != "0";
+}
+
+void Cli::reject_unknown_flags() const {
+  std::string unknown;
+  for (const auto& [name, value] : values_) {
+    const bool known = std::any_of(
+        registered_.begin(), registered_.end(),
+        [&name](const auto& entry) { return entry[0] == name; });
+    if (!known) unknown += (unknown.empty() ? "--" : ", --") + name;
+  }
+  if (!unknown.empty()) {
+    throw std::invalid_argument("unknown flag(s): " + unknown +
+                                " (see --help)");
+  }
 }
 
 void Cli::print_help(const std::string& program_description) const {

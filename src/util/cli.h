@@ -27,12 +27,18 @@ class Cli {
                                                const std::string& help,
                                                const std::string& fallback = "");
 
-  /// Typed accessors with defaults. Invalid numbers throw std::invalid_argument.
+  /// Typed accessors with defaults. A value that is not a whole unsigned
+  /// decimal (empty, a sign, trailing junk, overflow) throws
+  /// std::invalid_argument naming the flag.
   [[nodiscard]] std::size_t get_size(const std::string& name, std::size_t fallback,
                                      const std::string& help);
   [[nodiscard]] std::uint64_t get_u64(const std::string& name, std::uint64_t fallback,
                                       const std::string& help);
   [[nodiscard]] bool get_flag(const std::string& name, const std::string& help);
+
+  /// Throws std::invalid_argument listing every --flag on the command line
+  /// that no get* call registered. Call it after the last get*.
+  void reject_unknown_flags() const;
 
   /// True if --help was passed; callers should print_help() and exit.
   [[nodiscard]] bool wants_help() const noexcept { return help_requested_; }

@@ -2,7 +2,8 @@
 //
 // Minimal agent programs used by the simulator, scheduler and checker tests.
 // They exercise the model's primitives directly (move/stay/wait/suspend/
-// broadcast/token) without any of the paper's algorithm logic on top.
+// broadcast/token) without any of the paper's algorithm logic on top. Also
+// run_round_robin, the default schedule those tests run a state under.
 
 #pragma once
 
@@ -12,9 +13,18 @@
 #include <vector>
 
 #include "sim/agent.h"
+#include "sim/execution_state.h"
 #include "sim/message.h"
+#include "sim/scheduler.h"
 
 namespace udring::test {
+
+/// Runs `sim` under a fresh round-robin scheduler until it is quiescent or
+/// reaches its action limit.
+inline sim::RunResult run_round_robin(sim::ExecutionState& sim) {
+  sim::RoundRobinScheduler scheduler;
+  return sim.run(scheduler);
+}
 
 /// Optionally drops a token at its home, then makes `steps` moves and halts.
 class WalkerAgent final : public sim::AgentProgram {

@@ -13,6 +13,7 @@
 #include "core/runner.h"
 #include "core/targets.h"
 #include "sim/checker.h"
+#include "support/test_agents.h"
 #include "util/bits.h"
 #include "util/rng.h"
 
@@ -73,8 +74,7 @@ TEST(AlgoFull, MeasuresRingExactly) {
   spec.homes = {0, 1, 5, 11};
   const sim::Instance instance = make_instance(Algorithm::KnownKFull, spec);
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  (void)simulator.run(scheduler);
+  test::run_round_robin(simulator);
   for (sim::AgentId id = 0; id < 4; ++id) {
     const auto& agent = dynamic_cast<const KnownKFullAgent&>(simulator.program(id));
     EXPECT_EQ(agent.measured_n(), 13u);
@@ -91,8 +91,7 @@ TEST(AlgoFull, RanksArePerBaseAndDistinct) {
   spec.homes = {0, 1, 3, 6, 7, 9};
   const sim::Instance instance = make_instance(Algorithm::KnownKFull, spec);
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  (void)simulator.run(scheduler);
+  test::run_round_robin(simulator);
   std::vector<std::size_t> ranks;
   for (sim::AgentId id = 0; id < 6; ++id) {
     ranks.push_back(
@@ -192,8 +191,7 @@ TEST(AlgoFullKnownN, MeasuresKAndDeploysUniformly) {
   spec.homes = {0, 1, 5, 11};
   const sim::Instance instance = make_instance(Algorithm::KnownNFull, spec);
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  (void)simulator.run(scheduler);
+  test::run_round_robin(simulator);
   ASSERT_TRUE(sim::UniformDeploymentOracle(true).check_goal(simulator).ok);
   for (sim::AgentId id = 0; id < 4; ++id) {
     const auto& agent =

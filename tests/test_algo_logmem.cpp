@@ -15,6 +15,7 @@
 #include "config/generators.h"
 #include "core/runner.h"
 #include "sim/checker.h"
+#include "support/test_agents.h"
 #include "util/bits.h"
 #include "util/rng.h"
 
@@ -36,8 +37,7 @@ TEST(AlgoLogMem, SingleAgentBecomesSoleLeader) {
   spec.homes = {4};
   const sim::Instance instance = make_instance(Algorithm::KnownKLogMem, spec);
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  (void)simulator.run(scheduler);
+  test::run_round_robin(simulator);
   EXPECT_TRUE(sim::UniformDeploymentOracle(true).check_goal(simulator).ok);
   const auto agents = agents_of(simulator);
   EXPECT_EQ(agents[0]->role(), KnownKLogMemAgent::Role::Leader);
@@ -51,8 +51,7 @@ TEST(AlgoLogMem, Fig5ElectsThreeLeaders) {
   spec.homes = gen::fig5_homes();
   const sim::Instance instance = make_instance(Algorithm::KnownKLogMem, spec);
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  (void)simulator.run(scheduler);
+  test::run_round_robin(simulator);
   ASSERT_TRUE(sim::UniformDeploymentOracle(true).check_goal(simulator).ok);
 
   std::size_t leaders = 0;
@@ -79,8 +78,7 @@ TEST(AlgoLogMem, BaseNodeConditionsHold) {
     spec.homes = gen::random_homes(n, k, rng);
     const sim::Instance instance = make_instance(Algorithm::KnownKLogMem, spec);
     sim::ExecutionState simulator(instance);
-    sim::RoundRobinScheduler scheduler;
-    (void)simulator.run(scheduler);
+    test::run_round_robin(simulator);
     ASSERT_TRUE(sim::UniformDeploymentOracle(true).check_goal(simulator).ok);
 
     std::vector<std::size_t> leader_homes;
@@ -128,8 +126,7 @@ TEST(AlgoLogMem, SubPhaseCountWithinCeilLogK) {
     spec.homes = gen::random_homes(n, k, rng);
     const sim::Instance instance = make_instance(Algorithm::KnownKLogMem, spec);
     sim::ExecutionState simulator(instance);
-    sim::RoundRobinScheduler scheduler;
-    (void)simulator.run(scheduler);
+    test::run_round_robin(simulator);
     for (const auto* agent : agents_of(simulator)) {
       EXPECT_LE(agent->sub_phases(), udring::ceil_log2(k) + 1)
           << "n=" << n << " k=" << k;

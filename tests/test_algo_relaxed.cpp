@@ -15,6 +15,7 @@
 #include "config/generators.h"
 #include "core/runner.h"
 #include "sim/checker.h"
+#include "support/test_agents.h"
 #include "util/bits.h"
 #include "util/rng.h"
 
@@ -47,8 +48,7 @@ TEST(AlgoRelaxed, SingleAgentEstimatesExactlyAndSuspends) {
   spec.homes = {2};
   const sim::Instance instance = make_instance(Algorithm::UnknownRelaxed, spec);
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  const auto result = simulator.run(scheduler);
+  const auto result = test::run_round_robin(simulator);
   ASSERT_TRUE(result.quiescent());
   EXPECT_TRUE(simulator.all_suspended());
   const auto agents = agents_of(simulator);
@@ -66,8 +66,7 @@ TEST(AlgoRelaxed, Fig9TrappedAgentFirstEstimatesFour) {
   spec.homes = gen::fig9_homes();  // {0, 11, 12, 15, 16, 19, 20, 23, 24}
   const sim::Instance instance = make_instance(Algorithm::UnknownRelaxed, spec);
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  const auto result = simulator.run(scheduler);
+  const auto result = test::run_round_robin(simulator);
   ASSERT_TRUE(result.quiescent());
 
   const auto agents = agents_of(simulator);
@@ -95,8 +94,7 @@ TEST(AlgoRelaxed, TrappedAgentsAreCorrectedByMessages) {
   spec.homes = gen::fig9_homes();
   const sim::Instance instance = make_instance(Algorithm::UnknownRelaxed, spec);
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  (void)simulator.run(scheduler);
+  test::run_round_robin(simulator);
   std::size_t total_corrections = 0;
   for (const auto* agent : agents_of(simulator)) {
     total_corrections += agent->corrections();
@@ -122,8 +120,7 @@ TEST(AlgoRelaxed, Lemma3And4OnRandomAperiodicRings) {
     const sim::Instance instance =
         make_instance(Algorithm::UnknownRelaxed, spec);
     sim::ExecutionState simulator(instance);
-    sim::RoundRobinScheduler scheduler;
-    const auto result = simulator.run(scheduler);
+    const auto result = test::run_round_robin(simulator);
     ASSERT_TRUE(result.quiescent()) << "n=" << n << " k=" << k;
 
     bool someone_exact = false;
@@ -151,8 +148,7 @@ TEST(AlgoRelaxed, Fig11PeriodicRingConvergesToFundamentalRing) {
   spec.homes = gen::fig11_homes();
   const sim::Instance instance = make_instance(Algorithm::UnknownRelaxed, spec);
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  (void)simulator.run(scheduler);
+  test::run_round_robin(simulator);
   for (const auto* agent : agents_of(simulator)) {
     EXPECT_EQ(agent->estimated_n(), 6u) << "Lemma 7: estimates equal N = n/l";
     EXPECT_EQ(agent->estimated_k(), 3u);
@@ -234,8 +230,7 @@ TEST(AlgoRelaxed, EstimateMessagesCarryTheSendersWholeState) {
   spec.sim_options.record_events = true;
   const sim::Instance instance = make_instance(Algorithm::UnknownRelaxed, spec);
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  (void)simulator.run(scheduler);
+  test::run_round_robin(simulator);
   const auto broadcasts = simulator.log().of_kind(sim::EventKind::Broadcast);
   std::size_t delivered = 0;
   for (const auto& event : broadcasts) delivered += event.detail;
@@ -257,8 +252,7 @@ TEST(AlgoRelaxed, PackedConfigurationRegression) {
     const sim::Instance instance =
         make_instance(Algorithm::UnknownRelaxed, spec);
     sim::ExecutionState simulator(instance);
-    sim::RoundRobinScheduler scheduler;
-    const auto result = simulator.run(scheduler);
+    const auto result = test::run_round_robin(simulator);
     ASSERT_TRUE(result.quiescent()) << "n=" << n;
     const auto check =
         sim::UniformDeploymentOracle(false).check_goal(simulator);
@@ -317,8 +311,7 @@ TEST_P(AlgoRelaxedPeriodic, PeriodicRingsDeployWithoutLearningN) {
   spec.homes = gen::periodic_homes(n, k, l, rng);
   const sim::Instance instance = make_instance(Algorithm::UnknownRelaxed, spec);
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  const auto result = simulator.run(scheduler);
+  const auto result = test::run_round_robin(simulator);
   ASSERT_TRUE(result.quiescent()) << "n=" << n << " k=" << k << " l=" << l;
   const auto check = sim::UniformDeploymentOracle(false).check_goal(simulator);
   ASSERT_TRUE(check.ok) << "n=" << n << " k=" << k << " l=" << l << ": "

@@ -176,6 +176,22 @@ TEST(Campaign, MultiWordEnabledSetDigestIsPinned) {
   EXPECT_EQ(result.digest(), 0xaadcd389341fe31aULL) << std::hex << result.digest();
 }
 
+TEST(Campaign, EngineGridDigestIsPinned) {
+  // The behavioural contract's engine grid: bench_campaign_engine's sweep
+  // and `udring_campaign --grid=engine`, 7 ring sizes × 7 agent counts × 2
+  // schedulers × 16 seeds of known-k-full.
+  CampaignGrid grid;
+  grid.algorithms = {core::Algorithm::KnownKFull};
+  grid.schedulers = {sim::SchedulerKind::RoundRobin, sim::SchedulerKind::Random};
+  grid.node_counts = {16, 24, 32, 40, 48, 56, 64};
+  grid.agent_counts = {2, 3, 4, 5, 6, 7, 8};
+  grid.seeds = 16;
+  const CampaignResult result = run_campaign(grid, {.workers = 2});
+  ASSERT_EQ(result.scenarios.size(), 1568u);
+  EXPECT_TRUE(result.all_ok()) << result.summary();
+  EXPECT_EQ(result.digest(), 0x562ec13da3b6353aULL) << std::hex << result.digest();
+}
+
 TEST(Campaign, FailingScenariosSurfaceInSummary) {
   CampaignGrid grid = small_grid();
   // An action budget of 1 cannot complete any run: every scenario must be

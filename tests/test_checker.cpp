@@ -89,8 +89,7 @@ TEST(DefinitionOne, RequiresHaltAndEmptyQueuesAndUniformity) {
   const Instance instance(
       8, {0, 4}, [](AgentId) { return std::make_unique<WalkerAgent>(8); });
   ExecutionState sim(instance);
-  RoundRobinScheduler scheduler;
-  (void)sim.run(scheduler);
+  test::run_round_robin(sim);
   EXPECT_TRUE(UniformDeploymentOracle(true).check_goal(sim).ok);
 }
 
@@ -101,8 +100,7 @@ TEST(DefinitionOne, RejectsWaitingAgents) {
         return std::make_unique<CollectorAgent>(1);  // waits forever
       });
   ExecutionState sim(instance);
-  RoundRobinScheduler scheduler;
-  (void)sim.run(scheduler);
+  test::run_round_robin(sim);
   const auto check = UniformDeploymentOracle(true).check_goal(sim);
   EXPECT_FALSE(check.ok);
   EXPECT_NE(check.reason.find("waiting"), std::string::npos);
@@ -112,8 +110,7 @@ TEST(DefinitionOne, RejectsNonUniformHalts) {
   const Instance instance(
       8, {0, 1}, [](AgentId) { return std::make_unique<WalkerAgent>(0); });
   ExecutionState sim(instance);
-  RoundRobinScheduler scheduler;
-  (void)sim.run(scheduler);
+  test::run_round_robin(sim);
   EXPECT_FALSE(UniformDeploymentOracle(true).check_goal(sim).ok)
       << "gaps 1 and 7 are not a uniform deployment";
 }
@@ -122,8 +119,7 @@ TEST(DefinitionTwo, RequiresSuspendedAndUniform) {
   const Instance instance(
       8, {0, 4}, [](AgentId) { return std::make_unique<SuspenderAgent>(); });
   ExecutionState sim(instance);
-  RoundRobinScheduler scheduler;
-  (void)sim.run(scheduler);
+  test::run_round_robin(sim);
   EXPECT_TRUE(UniformDeploymentOracle(false).check_goal(sim).ok);
 }
 
@@ -134,8 +130,7 @@ TEST(DefinitionTwo, RejectsHaltedAgents) {
         return std::make_unique<SitterAgent>(0);  // halts
       });
   ExecutionState sim(instance);
-  RoundRobinScheduler scheduler;
-  (void)sim.run(scheduler);
+  test::run_round_robin(sim);
   EXPECT_FALSE(UniformDeploymentOracle(false).check_goal(sim).ok);
 }
 
@@ -146,8 +141,7 @@ TEST(Gathered, DetectsGatheringAndSpread) {
         return std::make_unique<WalkerAgent>(id == 0 ? 3 : 0);
       });
   ExecutionState gathered(gathered_instance);
-  RoundRobinScheduler scheduler;
-  (void)gathered.run(scheduler);
+  test::run_round_robin(gathered);
   EXPECT_TRUE(check_gathered(gathered).ok);
 
   const Instance spread_instance(

@@ -136,11 +136,6 @@ class SuspendAgent final : public AgentProgram {
   bool broadcast_first_;
 };
 
-RunResult drain(ExecutionState& sim) {
-  RoundRobinScheduler scheduler;
-  return sim.run(scheduler);
-}
-
 TEST(Definition1Fuzz, NonHaltedAgentFailsWithStatusReason) {
   // Uniform positions, but one agent parks instead of halting: the status
   // scan must fire before the geometry is even considered.
@@ -155,7 +150,7 @@ TEST(Definition1Fuzz, NonHaltedAgentFailsWithStatusReason) {
                  : std::unique_ptr<AgentProgram>(std::make_unique<HaltAgent>());
     });
     ExecutionState sim(instance);
-    ASSERT_TRUE(drain(sim).quiescent());
+    ASSERT_TRUE(test::run_round_robin(sim).quiescent());
     EXPECT_FAILS_WITH(UniformDeploymentOracle(true).check_goal(sim), "agent ");
   }
 }
@@ -189,7 +184,7 @@ TEST(Definition2Fuzz, AllSuspendedOnDistinctNodesIsLegal) {
     return std::make_unique<SuspendAgent>(/*broadcast_first=*/id == 0);
   });
   ExecutionState sim(instance);
-  ASSERT_TRUE(drain(sim).quiescent());
+  ASSERT_TRUE(test::run_round_robin(sim).quiescent());
   ASSERT_TRUE(UniformDeploymentOracle(false).check_goal(sim).ok);
 }
 
@@ -254,7 +249,7 @@ TEST(EmbeddedTopologyFuzz, NonHaltedAgentFailsWithStatusReasonOnEulerTrees) {
                      : std::unique_ptr<AgentProgram>(std::make_unique<HaltAgent>());
         });
     ExecutionState sim(instance);
-    ASSERT_TRUE(drain(sim).quiescent());
+    ASSERT_TRUE(test::run_round_robin(sim).quiescent());
     EXPECT_FAILS_WITH(UniformDeploymentOracle(true).check_goal(sim), "agent ");
   }
 }
@@ -279,7 +274,7 @@ TEST(EmbeddedTopologyFuzz, SharedNodeFailsWithSharedNodeReasonOnEulerianGraphs) 
           return std::make_unique<test::WalkerAgent>(id == 0 ? 0 : gap);
         });
     ExecutionState sim(instance);
-    ASSERT_TRUE(drain(sim).quiescent());
+    ASSERT_TRUE(test::run_round_robin(sim).quiescent());
     EXPECT_FAILS_WITH(UniformDeploymentOracle(true).check_goal(sim),
                       "two agents share node ");
   }
@@ -348,7 +343,7 @@ TEST(CrashFaultFuzz, CrashedAfterHaltCorpseIsInvisibleToTheGoal) {
       8, {0, 4},
       [](AgentId) { return std::make_unique<HaltAgent>(); }, options);
   ExecutionState sim(instance);
-  ASSERT_TRUE(drain(sim).quiescent());
+  ASSERT_TRUE(test::run_round_robin(sim).quiescent());
   ASSERT_EQ(sim.status(1), AgentStatus::Crashed);
   const CheckResult goal = UniformDeploymentOracle(true).check_goal(sim);
   EXPECT_TRUE(goal.ok) << goal.reason;
@@ -366,7 +361,7 @@ TEST(CrashFaultFuzz, SurvivorsAtSkewedGapsFailWithGapReason) {
       9, {0, 3, 6},
       [](AgentId) { return std::make_unique<HaltAgent>(); }, options);
   ExecutionState sim(instance);
-  ASSERT_TRUE(drain(sim).quiescent());
+  ASSERT_TRUE(test::run_round_robin(sim).quiescent());
   ASSERT_EQ(sim.status(2), AgentStatus::Crashed);
   EXPECT_FAILS_WITH(UniformDeploymentOracle(true).check_goal(sim), "gap ");
 }
@@ -390,7 +385,7 @@ TEST(CrashFaultFuzz, CorpseFrozenOnALinkIsReportedThroughWhatItBlocks) {
         },
         options);
     ExecutionState sim(instance);
-    ASSERT_TRUE(drain(sim).quiescent());
+    ASSERT_TRUE(test::run_round_robin(sim).quiescent());
     ASSERT_EQ(sim.status(0), AgentStatus::Crashed);
     std::size_t queued = 0;
     for (NodeId node = 0; node < 8; ++node) queued += sim.queue_length(node);

@@ -79,8 +79,7 @@ TEST(EventLog, TraceIsConsistentWithMetrics) {
       [](AgentId) { return std::make_unique<WalkerAgent>(7, true); },
       options);
   ExecutionState sim(instance);
-  RoundRobinScheduler scheduler;
-  (void)sim.run(scheduler);
+  test::run_round_robin(sim);
 
   // Departures per agent == recorded moves; arrivals == departures + the
   // initial buffer arrival; tokens == k; halts == k.
@@ -106,8 +105,7 @@ TEST(EventLog, BroadcastAndWakeAppearInCausalOrder) {
         return std::make_unique<MessengerAgent>(3, "hi");
       }, options);
   ExecutionState sim(instance);
-  RoundRobinScheduler scheduler;
-  (void)sim.run(scheduler);
+  test::run_round_robin(sim);
 
   const auto broadcasts = sim.log().of_kind(EventKind::Broadcast);
   const auto wakes = sim.log().of_kind(EventKind::Wake);

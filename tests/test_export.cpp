@@ -48,15 +48,10 @@ Instance walker_and_suspender() {
   });
 }
 
-void run_round_robin(ExecutionState& sim) {
-  RoundRobinScheduler scheduler;
-  (void)sim.run(scheduler);
-}
-
 TEST(Export, SnapshotJsonIsWellFormedAndComplete) {
   const Instance instance = walker_and_suspender();
   ExecutionState sim(instance);
-  run_round_robin(sim);
+  test::run_round_robin(sim);
   const std::string json = to_json(sim.snapshot());
   expect_well_formed(json);
   EXPECT_NE(json.find("\"node_count\":8"), std::string::npos);
@@ -68,7 +63,7 @@ TEST(Export, SnapshotJsonIsWellFormedAndComplete) {
 TEST(Export, MetricsJsonCarriesTotals) {
   const Instance instance = walker_and_suspender();
   ExecutionState sim(instance);
-  run_round_robin(sim);
+  test::run_round_robin(sim);
   const std::string json = to_json(sim.metrics());
   expect_well_formed(json);
   EXPECT_NE(json.find("\"total_moves\":4"), std::string::npos);
@@ -78,7 +73,7 @@ TEST(Export, MetricsJsonCarriesTotals) {
 TEST(Export, SimulatorJsonCombinesEverything) {
   const Instance instance = walker_and_suspender();
   ExecutionState sim(instance);
-  run_round_robin(sim);
+  test::run_round_robin(sim);
   const std::string json = to_json(sim);
   expect_well_formed(json);
   EXPECT_NE(json.find("\"quiescent\":true"), std::string::npos);
@@ -91,7 +86,7 @@ TEST(Export, EmptyPhasesAndQueuesSerialize) {
   const Instance instance(
       3, {1}, [](AgentId) { return std::make_unique<WalkerAgent>(0); });
   ExecutionState sim(instance);
-  run_round_robin(sim);
+  test::run_round_robin(sim);
   const std::string json = to_json(sim);
   expect_well_formed(json);
   EXPECT_NE(json.find("\"queues\":[[],[],[]]"), std::string::npos);

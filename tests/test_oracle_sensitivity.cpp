@@ -12,6 +12,7 @@
 #include "sim/checker.h"
 #include "sim/execution_state.h"
 #include "sim/scheduler.h"
+#include "support/test_agents.h"
 
 namespace udring::core {
 namespace {
@@ -143,8 +144,7 @@ Outcome run_mutant(std::size_t n, std::vector<std::size_t> homes) {
   const sim::Instance instance(n, std::move(homes), mutant_factory<Mutant>(4),
                                options);
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  const auto result = simulator.run(scheduler);
+  const auto result = test::run_round_robin(simulator);
   return {result.quiescent(),
           sim::UniformDeploymentOracle(true).check_goal(simulator).ok};
 }
@@ -191,8 +191,7 @@ TEST(OracleSensitivity, LivelockIsReportedAsActionLimit) {
       kN, kHomes, [](sim::AgentId) { return std::make_unique<NeverHaltsMutant>(); },
       options);
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  const auto result = simulator.run(scheduler);
+  const auto result = test::run_round_robin(simulator);
   EXPECT_EQ(result.outcome, sim::RunResult::Outcome::ActionLimit);
   EXPECT_FALSE(sim::UniformDeploymentOracle(true).check_goal(simulator).ok);
 }
@@ -217,8 +216,7 @@ TEST(OracleSensitivity, SuspendedIsNotHalted) {
     return std::make_unique<SuspendAtTarget>();
   });
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  (void)simulator.run(scheduler);
+  test::run_round_robin(simulator);
   EXPECT_FALSE(sim::UniformDeploymentOracle(true).check_goal(simulator).ok);
   EXPECT_TRUE(sim::UniformDeploymentOracle(false).check_goal(simulator).ok);
 }

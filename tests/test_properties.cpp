@@ -11,6 +11,7 @@
 #include "config/generators.h"
 #include "core/runner.h"
 #include "sim/checker.h"
+#include "support/test_agents.h"
 #include "util/rng.h"
 
 namespace udring::core {
@@ -88,8 +89,7 @@ TEST(Tokens, EveryHomeKeepsExactlyOneToken) {
     spec.homes = gen::random_homes(n, k, rng);
     const sim::Instance instance = make_instance(algorithm, spec);
     sim::ExecutionState simulator(instance);
-    sim::RoundRobinScheduler scheduler;
-    (void)simulator.run(scheduler);
+    test::run_round_robin(simulator);
     EXPECT_EQ(simulator.total_tokens(), k) << to_string(algorithm);
     for (const std::size_t home : spec.homes) {
       EXPECT_EQ(simulator.tokens(home), 1u)

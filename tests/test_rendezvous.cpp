@@ -13,6 +13,7 @@
 #include "core/distance_sequence.h"
 #include "core/runner.h"
 #include "sim/checker.h"
+#include "support/test_agents.h"
 #include "util/rng.h"
 
 namespace udring::core {
@@ -24,8 +25,7 @@ TEST(Rendezvous, GathersOnAperiodicConfiguration) {
   spec.homes = gen::fig1a_homes();  // l = 1
   const sim::Instance instance = make_instance(Algorithm::Rendezvous, spec);
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  const auto result = simulator.run(scheduler);
+  const auto result = test::run_round_robin(simulator);
   ASSERT_TRUE(result.quiescent());
   EXPECT_TRUE(sim::check_gathered(simulator).ok);
   for (sim::AgentId id = 0; id < simulator.agent_count(); ++id) {
@@ -42,8 +42,7 @@ TEST(Rendezvous, GathersAtTheLexminBaseNode) {
   spec.homes = {0, 1, 5, 7};
   const sim::Instance instance = make_instance(Algorithm::Rendezvous, spec);
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  (void)simulator.run(scheduler);
+  test::run_round_robin(simulator);
   ASSERT_TRUE(sim::check_gathered(simulator).ok);
   EXPECT_EQ(simulator.staying_nodes().front(), 0u);
 }
@@ -54,8 +53,7 @@ TEST(Rendezvous, DetectsPeriodicAsUnsolvable) {
   spec.homes = gen::fig1b_homes();  // l = 2
   const sim::Instance instance = make_instance(Algorithm::Rendezvous, spec);
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  const auto result = simulator.run(scheduler);
+  const auto result = test::run_round_robin(simulator);
   ASSERT_TRUE(result.quiescent());
   for (sim::AgentId id = 0; id < simulator.agent_count(); ++id) {
     const auto& agent = dynamic_cast<const RendezvousAgent&>(simulator.program(id));
@@ -94,8 +92,7 @@ TEST_P(RendezvousSweep, OutcomeMatchesConfigurationPeriodicity) {
   const bool periodic = config_symmetry_degree(spec.homes, n) > 1;
   const sim::Instance instance = make_instance(Algorithm::Rendezvous, spec);
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  const auto result = simulator.run(scheduler);
+  const auto result = test::run_round_robin(simulator);
   ASSERT_TRUE(result.quiescent());
   if (periodic) {
     EXPECT_FALSE(sim::check_gathered(simulator).ok);

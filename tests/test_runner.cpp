@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "config/generators.h"
+#include "support/test_agents.h"
 
 namespace udring::core {
 namespace {
@@ -59,8 +60,7 @@ TEST(Runner, GoalDistinguishesDefinitionOneFromTwo) {
   // pass Definition 2's.
   const sim::Instance instance = make_instance(Algorithm::UnknownRelaxed, spec);
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  (void)simulator.run(scheduler);
+  test::run_round_robin(simulator);
   EXPECT_FALSE(sim::UniformDeploymentOracle(true).check_goal(simulator).ok);
   EXPECT_TRUE(make_goal_oracle(Algorithm::UnknownRelaxed, {})
                   ->check_goal(simulator)

@@ -56,8 +56,7 @@ TEST(SimulatorRun, WalkerMovesExactlyItsSteps) {
   const Instance instance(
       8, {3}, [](AgentId) { return std::make_unique<WalkerAgent>(5); });
   ExecutionState sim(instance);
-  RoundRobinScheduler scheduler;
-  const RunResult result = sim.run(scheduler);
+  const RunResult result = test::run_round_robin(sim);
   EXPECT_TRUE(result.quiescent());
   EXPECT_TRUE(sim.all_halted());
   EXPECT_EQ(sim.metrics().agent(0).moves, 5u);
@@ -72,8 +71,7 @@ TEST(SimulatorRun, CausalTimeEqualsMovesPlusArrival) {
   const Instance instance(
       10, {0}, [](AgentId) { return std::make_unique<WalkerAgent>(7); });
   ExecutionState sim(instance);
-  RoundRobinScheduler scheduler;
-  (void)sim.run(scheduler);
+  test::run_round_robin(sim);
   EXPECT_EQ(sim.metrics().makespan(), 8u);
 }
 
@@ -96,8 +94,7 @@ TEST(SimulatorRun, ActionLimitStopsLivelocks) {
       4, {0}, [](AgentId) { return std::make_unique<EndlessWalkerAgent>(); },
       options);
   ExecutionState sim(instance);
-  RoundRobinScheduler scheduler;
-  const RunResult result = sim.run(scheduler);
+  const RunResult result = test::run_round_robin(sim);
   EXPECT_EQ(result.outcome, RunResult::Outcome::ActionLimit);
   EXPECT_EQ(result.actions, 50u);
 }
@@ -194,8 +191,7 @@ TEST(Messaging, BroadcastReachesOnlyStayingAgents) {
         return std::make_unique<WalkerAgent>(6);
       });
   ExecutionState sim(instance);
-  RoundRobinScheduler scheduler;
-  const RunResult result = sim.run(scheduler);
+  const RunResult result = test::run_round_robin(sim);
   EXPECT_TRUE(result.quiescent());
   const auto& collector = dynamic_cast<const CollectorAgent&>(sim.program(1));
   ASSERT_EQ(collector.received().size(), 1u);
@@ -229,8 +225,7 @@ TEST(Messaging, HaltedAgentsIgnoreMessages) {
         return std::make_unique<MessengerAgent>(4, "ping");  // 2 + 4 = node 0
       });
   ExecutionState sim(instance);
-  RoundRobinScheduler scheduler;
-  const RunResult result = sim.run(scheduler);
+  const RunResult result = test::run_round_robin(sim);
   EXPECT_TRUE(result.quiescent());
   EXPECT_EQ(sim.status(0), AgentStatus::Halted);
   EXPECT_EQ(sim.snapshot().agents[0].mailbox_size, 0u)
@@ -244,8 +239,7 @@ TEST(Messaging, SuspendedAgentWakesOnMessage) {
         return std::make_unique<MessengerAgent>(3, "wake");  // 3 + 3 = node 0
       });
   ExecutionState sim(instance);
-  RoundRobinScheduler scheduler;
-  const RunResult result = sim.run(scheduler);
+  const RunResult result = test::run_round_robin(sim);
   EXPECT_TRUE(result.quiescent());
   const auto& suspender = dynamic_cast<const SuspenderAgent&>(sim.program(0));
   EXPECT_EQ(suspender.wakeups().size(), 1u);
@@ -261,8 +255,7 @@ TEST(Messaging, WakeTimestampFollowsSender) {
         return std::make_unique<MessengerAgent>(3, "wake");
       });
   ExecutionState sim(instance);
-  RoundRobinScheduler scheduler;
-  (void)sim.run(scheduler);
+  test::run_round_robin(sim);
   // Messenger: arrival(home)=1 + 3 moves → broadcast at ts 4. Suspender's
   // wakeup action: max(own prev=1, 4) + 1 = 5.
   EXPECT_EQ(sim.metrics().agent(1).causal_time, 4u);
@@ -296,8 +289,7 @@ TEST(Quiescence, WaitingWithoutMessagesIsQuiescentButNotSuspended) {
   const Instance instance(
       4, {0}, [](AgentId) { return std::make_unique<CollectorAgent>(1); });
   ExecutionState sim(instance);
-  RoundRobinScheduler scheduler;
-  const RunResult result = sim.run(scheduler);
+  const RunResult result = test::run_round_robin(sim);
   EXPECT_TRUE(result.quiescent()) << "communication deadlock still quiesces";
   EXPECT_FALSE(sim.all_halted());
   EXPECT_FALSE(sim.all_suspended());
@@ -311,8 +303,7 @@ TEST(Quiescence, StepAgentRejectsDisabledAgents) {
   EXPECT_TRUE(sim.step_agent(0));
   // Agent 0 now stayed once; agent 1 still in transit (enabled).
   EXPECT_TRUE(sim.step_agent(1));
-  RoundRobinScheduler scheduler;
-  (void)sim.run(scheduler);
+  test::run_round_robin(sim);
   EXPECT_TRUE(sim.all_halted());
   EXPECT_FALSE(sim.step_agent(0)) << "halted agents are never enabled";
   EXPECT_FALSE(sim.step_agent(7)) << "unknown ids are rejected";
@@ -337,8 +328,7 @@ TEST(Errors, AgentExceptionPropagates) {
   const Instance instance(
       4, {1}, [](AgentId) { return std::make_unique<ThrowerAgent>(); });
   ExecutionState sim(instance);
-  RoundRobinScheduler scheduler;
-  EXPECT_THROW((void)sim.run(scheduler), std::runtime_error);
+  EXPECT_THROW((void)test::run_round_robin(sim), std::runtime_error);
 }
 
 TEST(Invariants, HoldAfterEveryStepOfARandomRun) {
@@ -364,8 +354,7 @@ TEST(Snapshot, ReflectsConfiguration) {
         return std::make_unique<SitterAgent>(0);
       });
   ExecutionState sim(instance);
-  RoundRobinScheduler scheduler;
-  (void)sim.run(scheduler);
+  test::run_round_robin(sim);
   const Snapshot snap = sim.snapshot();
   EXPECT_EQ(snap.node_count, 5u);
   EXPECT_EQ(snap.tokens, (std::vector<std::size_t>{1, 0, 0, 0, 0}));

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "util/cli.h"
 #include "util/table.h"
@@ -62,6 +63,45 @@ TEST(Cli, DefaultsApplyWhenAbsent) {
   EXPECT_EQ(cli.get_size("n", 128, "ring size"), 128u);
   EXPECT_EQ(cli.get_u64("seed", 42, "rng seed"), 42u);
   EXPECT_EQ(cli.get("name", "label", "fallback").value(), "fallback");
+}
+
+TEST(Cli, UnknownFlagsAreRejectedByName) {
+  const char* argv[] = {"prog", "--n=6", "--frontier=8", "--bogus"};
+  Cli cli(4, argv);
+  EXPECT_EQ(cli.get_size("n", 0, "ring size"), 6u);
+  try {
+    cli.reject_unknown_flags();
+    FAIL() << "unknown flags were accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(),
+                 "unknown flag(s): --bogus, --frontier (see --help)");
+  }
+  (void)cli.get_flag("bogus", "registered now");
+  (void)cli.get_size("frontier", 0, "registered now");
+  EXPECT_NO_THROW(cli.reject_unknown_flags());
+}
+
+TEST(Cli, NumbersMustBeWholeUnsignedDecimals) {
+  for (const char* bad : {"--n=6x", "--n=-1", "--n=", "--n=+6", "--n= 6",
+                          "--n=18446744073709551616"}) {
+    const char* argv[] = {"prog", bad};
+    Cli cli(2, argv);
+    EXPECT_THROW((void)cli.get_size("n", 0, "ring size"), std::invalid_argument)
+        << bad;
+    EXPECT_THROW((void)cli.get_u64("n", 0, "ring size"), std::invalid_argument)
+        << bad;
+  }
+  const char* argv[] = {"prog", "--n=6x"};
+  Cli cli(2, argv);
+  try {
+    (void)cli.get_size("n", 0, "ring size");
+    FAIL() << "6x was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "--n: expected an unsigned decimal, got '6x'");
+  }
+  const char* max_argv[] = {"prog", "--seed=18446744073709551615"};
+  Cli max_cli(2, max_argv);
+  EXPECT_EQ(max_cli.get_u64("seed", 0, "rng seed"), 18446744073709551615u);
 }
 
 TEST(Cli, HelpFlagDetected) {

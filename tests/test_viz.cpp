@@ -20,8 +20,7 @@ TEST(AsciiRing, ShowsTokensAndHaltedAgents) {
   const sim::Instance instance(
       6, {1, 4}, [](sim::AgentId) { return std::make_unique<WalkerAgent>(2, true); });
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  (void)simulator.run(scheduler);
+  test::run_round_robin(simulator);
   const std::string art = render(simulator);
   // Tokens remain at homes 1 and 4; agents halted at 3 and 0.
   EXPECT_NE(art.find("A0h"), std::string::npos);
@@ -34,8 +33,7 @@ TEST(AsciiRing, ShowsSuspendedGlyph) {
   const sim::Instance instance(
       4, {0}, [](sim::AgentId) { return std::make_unique<SuspenderAgent>(); });
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  (void)simulator.run(scheduler);
+  test::run_round_robin(simulator);
   EXPECT_NE(render(simulator).find("A0z"), std::string::npos);
 }
 
@@ -43,8 +41,7 @@ TEST(AsciiRing, WrapsLongRingsIntoRows) {
   const sim::Instance instance(
       30, {0}, [](sim::AgentId) { return std::make_unique<WalkerAgent>(0); });
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  (void)simulator.run(scheduler);
+  test::run_round_robin(simulator);
   const std::string art = render(simulator, 10);
   // Three row groups → "node" appears three times.
   std::size_t count = 0;
@@ -59,8 +56,7 @@ TEST(GapSummary, ListsGapsAndBounds) {
   const sim::Instance instance(
       8, {0, 4}, [](sim::AgentId) { return std::make_unique<WalkerAgent>(0); });
   sim::ExecutionState simulator(instance);
-  sim::RoundRobinScheduler scheduler;
-  (void)simulator.run(scheduler);
+  test::run_round_robin(simulator);
   const std::string summary = gap_summary(simulator);
   EXPECT_NE(summary.find("gaps: 4 4"), std::string::npos) << summary;
   EXPECT_NE(summary.find("floor=4"), std::string::npos) << summary;

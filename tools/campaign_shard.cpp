@@ -110,6 +110,7 @@ int run(int argc, char** argv) {
       "allow-partial", "merge even when the shards do not tile the sweep");
   const bool summary =
       cli.get_flag("summary", "print the per-cell table, not just the digest");
+  cli.reject_unknown_flags();
   if (cli.wants_help()) {
     cli.print_help("Sharded campaign driver: run grid slices as separate "
                    "processes and merge their shard files byte-identically.");

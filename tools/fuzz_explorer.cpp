@@ -272,6 +272,7 @@ int main(int argc, char** argv) {
     const std::string out_dir =
         cli.get("out", "directory for shrunk failing traces", "").value_or("");
 
+    cli.reject_unknown_flags();
     if (cli.wants_help()) {
       cli.print_help(
           "udring schedule explorer: fuzz adversarial schedules, record and "

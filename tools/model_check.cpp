@@ -146,6 +146,7 @@ int main(int argc, char** argv) {
         cli.get_size("seeds", 1, "instances per cell in --grid mode");
     const std::string out_dir =
         cli.get("out", "directory for counterexample traces", "").value_or("");
+    cli.reject_unknown_flags();
     if (cli.wants_help()) {
       cli.print_help(
           "udring exhaustive model checker: walks every schedule of a small "
