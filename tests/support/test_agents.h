@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,6 +19,12 @@
 #include "sim/scheduler.h"
 
 namespace udring::test {
+
+/// A program factory that gives every agent its own `Program(args...)`.
+template <typename Program, typename... Args>
+sim::ProgramFactory every(Args... args) {
+  return [=](sim::AgentId) { return std::make_unique<Program>(args...); };
+}
 
 /// Runs `sim` under a fresh round-robin scheduler until it is quiescent or
 /// reaches its action limit.

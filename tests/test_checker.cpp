@@ -86,8 +86,7 @@ TEST(PositionsUniform, FailureMessagesAreActionable) {
 
 TEST(DefinitionOne, RequiresHaltAndEmptyQueuesAndUniformity) {
   // Walkers that halt uniformly: 2 agents on an 8-ring moving to distance 4.
-  const Instance instance(
-      8, {0, 4}, [](AgentId) { return std::make_unique<WalkerAgent>(8); });
+  const Instance instance(8, {0, 4}, test::every<WalkerAgent>(8));
   ExecutionState sim(instance);
   test::run_round_robin(sim);
   EXPECT_TRUE(UniformDeploymentOracle(true).check_goal(sim).ok);
@@ -107,8 +106,7 @@ TEST(DefinitionOne, RejectsWaitingAgents) {
 }
 
 TEST(DefinitionOne, RejectsNonUniformHalts) {
-  const Instance instance(
-      8, {0, 1}, [](AgentId) { return std::make_unique<WalkerAgent>(0); });
+  const Instance instance(8, {0, 1}, test::every<WalkerAgent>(0));
   ExecutionState sim(instance);
   test::run_round_robin(sim);
   EXPECT_FALSE(UniformDeploymentOracle(true).check_goal(sim).ok)
@@ -116,8 +114,7 @@ TEST(DefinitionOne, RejectsNonUniformHalts) {
 }
 
 TEST(DefinitionTwo, RequiresSuspendedAndUniform) {
-  const Instance instance(
-      8, {0, 4}, [](AgentId) { return std::make_unique<SuspenderAgent>(); });
+  const Instance instance(8, {0, 4}, test::every<SuspenderAgent>());
   ExecutionState sim(instance);
   test::run_round_robin(sim);
   EXPECT_TRUE(UniformDeploymentOracle(false).check_goal(sim).ok);
@@ -144,11 +141,9 @@ TEST(Gathered, DetectsGatheringAndSpread) {
   test::run_round_robin(gathered);
   EXPECT_TRUE(check_gathered(gathered).ok);
 
-  const Instance spread_instance(
-      6, {0, 3}, [](AgentId) { return std::make_unique<WalkerAgent>(0); });
+  const Instance spread_instance(6, {0, 3}, test::every<WalkerAgent>(0));
   ExecutionState spread(spread_instance);
-  RoundRobinScheduler scheduler2;
-  (void)spread.run(scheduler2);
+  test::run_round_robin(spread);
   EXPECT_FALSE(check_gathered(spread).ok);
 }
 
@@ -204,9 +199,7 @@ TEST(PositionsUniform, ExhaustiveSmallInstances) {
 }
 
 TEST(ModelInvariants, DetectsNothingWrongOnHealthyRuns) {
-  const Instance instance(
-      9, {0, 3, 6},
-      [](AgentId) { return std::make_unique<WalkerAgent>(10, true); });
+  const Instance instance(9, {0, 3, 6}, test::every<WalkerAgent>(10, true));
   ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   scheduler.reset(3);
@@ -563,9 +556,7 @@ TEST(GoalOracles, DrainedLinksCheckNamesTheOccupiedQueue) {
   // must fall back to naming the node.
   SimOptions options;
   options.faults.crashes = {{1, 0}};
-  const Instance instance(
-      12, {0, 6}, [](AgentId) { return std::make_unique<SitterAgent>(0); },
-      options);
+  const Instance instance(12, {0, 6}, test::every<SitterAgent>(0), options);
   ExecutionState sim(instance);
   RoundRobinScheduler scheduler;
   (void)sim.run(scheduler);
@@ -575,8 +566,7 @@ TEST(GoalOracles, DrainedLinksCheckNamesTheOccupiedQueue) {
   EXPECT_EQ(PartialGatheringOracle(2).check_goal(sim).reason, reason);
   EXPECT_EQ(DispersionOracle().check_goal(sim).reason, reason);
 
-  const Instance drained_instance(
-      12, {0, 6}, [](AgentId) { return std::make_unique<SitterAgent>(0); });
+  const Instance drained_instance(12, {0, 6}, test::every<SitterAgent>(0));
   ExecutionState drained(drained_instance);
   (void)drained.run(scheduler);
   EXPECT_EQ(drained.queued_agents(), 0u);

@@ -339,9 +339,7 @@ TEST(CrashFaultFuzz, CrashedAfterHaltCorpseIsInvisibleToTheGoal) {
   // deployment uniform despite the corpse at node 4.
   SimOptions options;
   options.faults.crashes = {{1, 2}};
-  const Instance instance(
-      8, {0, 4},
-      [](AgentId) { return std::make_unique<HaltAgent>(); }, options);
+  const Instance instance(8, {0, 4}, test::every<HaltAgent>(), options);
   ExecutionState sim(instance);
   ASSERT_TRUE(test::run_round_robin(sim).quiescent());
   ASSERT_EQ(sim.status(1), AgentStatus::Crashed);
@@ -357,9 +355,7 @@ TEST(CrashFaultFuzz, SurvivorsAtSkewedGapsFailWithGapReason) {
   // blaming the corpse's status).
   SimOptions options;
   options.faults.crashes = {{2, 3}};
-  const Instance instance(
-      9, {0, 3, 6},
-      [](AgentId) { return std::make_unique<HaltAgent>(); }, options);
+  const Instance instance(9, {0, 3, 6}, test::every<HaltAgent>(), options);
   ExecutionState sim(instance);
   ASSERT_TRUE(test::run_round_robin(sim).quiescent());
   ASSERT_EQ(sim.status(2), AgentStatus::Crashed);

@@ -75,9 +75,7 @@ TEST(EventLog, TraceIsConsistentWithMetrics) {
   SimOptions options;
   options.record_events = true;
   const Instance instance(
-      10, {0, 5},
-      [](AgentId) { return std::make_unique<WalkerAgent>(7, true); },
-      options);
+      10, {0, 5}, test::every<WalkerAgent>(7, true), options);
   ExecutionState sim(instance);
   test::run_round_robin(sim);
 

@@ -83,8 +83,7 @@ TEST(Export, SimulatorJsonCombinesEverything) {
 }
 
 TEST(Export, EmptyPhasesAndQueuesSerialize) {
-  const Instance instance(
-      3, {1}, [](AgentId) { return std::make_unique<WalkerAgent>(0); });
+  const Instance instance(3, {1}, test::every<WalkerAgent>(0));
   ExecutionState sim(instance);
   test::run_round_robin(sim);
   const std::string json = to_json(sim);

@@ -188,8 +188,7 @@ TEST(OracleSensitivity, LivelockIsReportedAsActionLimit) {
   sim::SimOptions options;
   options.max_actions = 5000;
   const sim::Instance instance(
-      kN, kHomes, [](sim::AgentId) { return std::make_unique<NeverHaltsMutant>(); },
-      options);
+      kN, kHomes, test::every<NeverHaltsMutant>(), options);
   sim::ExecutionState simulator(instance);
   const auto result = test::run_round_robin(simulator);
   EXPECT_EQ(result.outcome, sim::RunResult::Outcome::ActionLimit);

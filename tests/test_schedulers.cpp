@@ -243,9 +243,7 @@ TEST(Factory, ProducesEveryKind) {
 
 TEST(AllSchedulers, DriveAMultiAgentWorkloadToQuiescence) {
   for (const SchedulerKind kind : all_scheduler_kinds()) {
-    const Instance instance(
-        12, {0, 3, 7, 9},
-        [](AgentId) { return std::make_unique<WalkerAgent>(25); });
+    const Instance instance(12, {0, 3, 7, 9}, test::every<WalkerAgent>(25));
     ExecutionState sim(instance);
     const auto scheduler = make_scheduler(kind, 11, sim.agent_count());
     const RunResult result = sim.run(*scheduler);

@@ -40,8 +40,7 @@ TEST(SimulatorConstruction, ValidatesConfiguration) {
 }
 
 TEST(SimulatorConstruction, AgentsStartInTransitToTheirHomes) {
-  const Instance instance(
-      6, {1, 4}, [](AgentId) { return std::make_unique<SitterAgent>(1); });
+  const Instance instance(6, {1, 4}, test::every<SitterAgent>(1));
   ExecutionState sim(instance);
   EXPECT_EQ(sim.status(0), AgentStatus::InTransit);
   EXPECT_EQ(sim.status(1), AgentStatus::InTransit);
@@ -53,8 +52,7 @@ TEST(SimulatorConstruction, AgentsStartInTransitToTheirHomes) {
 }
 
 TEST(SimulatorRun, WalkerMovesExactlyItsSteps) {
-  const Instance instance(
-      8, {3}, [](AgentId) { return std::make_unique<WalkerAgent>(5); });
+  const Instance instance(8, {3}, test::every<WalkerAgent>(5));
   ExecutionState sim(instance);
   const RunResult result = test::run_round_robin(sim);
   EXPECT_TRUE(result.quiescent());
@@ -68,8 +66,7 @@ TEST(SimulatorRun, CausalTimeEqualsMovesPlusArrival) {
   // One continuously moving agent: ideal time = initial arrival + one per
   // move (§2.2: "the ideal time complexity is equivalent to the number of
   // moves for the agent").
-  const Instance instance(
-      10, {0}, [](AgentId) { return std::make_unique<WalkerAgent>(7); });
+  const Instance instance(10, {0}, test::every<WalkerAgent>(7));
   ExecutionState sim(instance);
   test::run_round_robin(sim);
   EXPECT_EQ(sim.metrics().makespan(), 8u);
@@ -77,9 +74,7 @@ TEST(SimulatorRun, CausalTimeEqualsMovesPlusArrival) {
 
 TEST(SimulatorRun, ParallelWalkersShareTheClock) {
   // k walkers moving in lockstep: makespan must not grow with k.
-  const Instance instance(
-      12, {0, 4, 8},
-      [](AgentId) { return std::make_unique<WalkerAgent>(6); });
+  const Instance instance(12, {0, 4, 8}, test::every<WalkerAgent>(6));
   ExecutionState sim(instance);
   SynchronousScheduler scheduler;
   (void)sim.run(scheduler);
@@ -90,9 +85,7 @@ TEST(SimulatorRun, ParallelWalkersShareTheClock) {
 TEST(SimulatorRun, ActionLimitStopsLivelocks) {
   SimOptions options;
   options.max_actions = 50;
-  const Instance instance(
-      4, {0}, [](AgentId) { return std::make_unique<EndlessWalkerAgent>(); },
-      options);
+  const Instance instance(4, {0}, test::every<EndlessWalkerAgent>(), options);
   ExecutionState sim(instance);
   const RunResult result = test::run_round_robin(sim);
   EXPECT_EQ(result.outcome, RunResult::Outcome::ActionLimit);
@@ -155,9 +148,7 @@ TEST(Fifo, ArrivalOrderMatchesDepartureOrderOnEveryLink) {
   // per-link arrival order must still match departure order.
   SimOptions options;
   options.record_events = true;
-  const Instance instance(
-      5, {0, 2},
-      [](AgentId) { return std::make_unique<WalkerAgent>(13); }, options);
+  const Instance instance(5, {0, 2}, test::every<WalkerAgent>(13), options);
   ExecutionState sim(instance);
   RandomScheduler scheduler(99);
   (void)sim.run(scheduler);
@@ -286,8 +277,7 @@ TEST(Observation, InTransitAgentsAreInvisible) {
 }
 
 TEST(Quiescence, WaitingWithoutMessagesIsQuiescentButNotSuspended) {
-  const Instance instance(
-      4, {0}, [](AgentId) { return std::make_unique<CollectorAgent>(1); });
+  const Instance instance(4, {0}, test::every<CollectorAgent>(1));
   ExecutionState sim(instance);
   const RunResult result = test::run_round_robin(sim);
   EXPECT_TRUE(result.quiescent()) << "communication deadlock still quiesces";
@@ -297,8 +287,7 @@ TEST(Quiescence, WaitingWithoutMessagesIsQuiescentButNotSuspended) {
 }
 
 TEST(Quiescence, StepAgentRejectsDisabledAgents) {
-  const Instance instance(
-      4, {0, 2}, [](AgentId) { return std::make_unique<SitterAgent>(1); });
+  const Instance instance(4, {0, 2}, test::every<SitterAgent>(1));
   ExecutionState sim(instance);
   EXPECT_TRUE(sim.step_agent(0));
   // Agent 0 now stayed once; agent 1 still in transit (enabled).
@@ -311,9 +300,7 @@ TEST(Quiescence, StepAgentRejectsDisabledAgents) {
 
 TEST(Determinism, SameSeedSameExecution) {
   const auto run_once = [](std::uint64_t seed) {
-    const Instance instance(
-        16, {0, 3, 7, 12},
-        [](AgentId) { return std::make_unique<WalkerAgent>(20); });
+    const Instance instance(16, {0, 3, 7, 12}, test::every<WalkerAgent>(20));
     ExecutionState sim(instance);
     RandomScheduler scheduler(seed);
     (void)sim.run(scheduler);
@@ -325,16 +312,13 @@ TEST(Determinism, SameSeedSameExecution) {
 }
 
 TEST(Errors, AgentExceptionPropagates) {
-  const Instance instance(
-      4, {1}, [](AgentId) { return std::make_unique<ThrowerAgent>(); });
+  const Instance instance(4, {1}, test::every<ThrowerAgent>());
   ExecutionState sim(instance);
   EXPECT_THROW((void)test::run_round_robin(sim), std::runtime_error);
 }
 
 TEST(Invariants, HoldAfterEveryStepOfARandomRun) {
-  const Instance instance(
-      10, {0, 2, 5, 8},
-      [](AgentId) { return std::make_unique<WalkerAgent>(15, true); });
+  const Instance instance(10, {0, 2, 5, 8}, test::every<WalkerAgent>(15, true));
   ExecutionState sim(instance);
   RandomScheduler scheduler(2718);
   scheduler.reset(sim.agent_count());

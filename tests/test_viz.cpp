@@ -17,8 +17,7 @@ using test::SuspenderAgent;
 using test::WalkerAgent;
 
 TEST(AsciiRing, ShowsTokensAndHaltedAgents) {
-  const sim::Instance instance(
-      6, {1, 4}, [](sim::AgentId) { return std::make_unique<WalkerAgent>(2, true); });
+  const sim::Instance instance(6, {1, 4}, test::every<WalkerAgent>(2, true));
   sim::ExecutionState simulator(instance);
   test::run_round_robin(simulator);
   const std::string art = render(simulator);
@@ -30,16 +29,14 @@ TEST(AsciiRing, ShowsTokensAndHaltedAgents) {
 }
 
 TEST(AsciiRing, ShowsSuspendedGlyph) {
-  const sim::Instance instance(
-      4, {0}, [](sim::AgentId) { return std::make_unique<SuspenderAgent>(); });
+  const sim::Instance instance(4, {0}, test::every<SuspenderAgent>());
   sim::ExecutionState simulator(instance);
   test::run_round_robin(simulator);
   EXPECT_NE(render(simulator).find("A0z"), std::string::npos);
 }
 
 TEST(AsciiRing, WrapsLongRingsIntoRows) {
-  const sim::Instance instance(
-      30, {0}, [](sim::AgentId) { return std::make_unique<WalkerAgent>(0); });
+  const sim::Instance instance(30, {0}, test::every<WalkerAgent>(0));
   sim::ExecutionState simulator(instance);
   test::run_round_robin(simulator);
   const std::string art = render(simulator, 10);
@@ -53,8 +50,7 @@ TEST(AsciiRing, WrapsLongRingsIntoRows) {
 }
 
 TEST(GapSummary, ListsGapsAndBounds) {
-  const sim::Instance instance(
-      8, {0, 4}, [](sim::AgentId) { return std::make_unique<WalkerAgent>(0); });
+  const sim::Instance instance(8, {0, 4}, test::every<WalkerAgent>(0));
   sim::ExecutionState simulator(instance);
   test::run_round_robin(simulator);
   const std::string summary = gap_summary(simulator);
