@@ -89,12 +89,14 @@ int run(int argc, char** argv) {
       *cli.get("grid", "grid preset: engine (1568 scenarios) or smoke",
                "engine");
   const std::string shard_spec =
-      *cli.get("shard", "run only slice i of N equal slices (i/N)", "");
+      cli.get("shard", "run only slice i of N equal slices (i/N)")
+          .value_or("");
   const std::string out_path =
-      *cli.get("out", "shard-file path for --shard (doubles as checkpoint)",
-               "");
+      cli.get("out", "shard-file path for --shard (doubles as checkpoint)")
+          .value_or("");
   const std::string checkpoint_path =
-      *cli.get("checkpoint", "checkpoint file for a whole-grid run", "");
+      cli.get("checkpoint", "checkpoint file for a whole-grid run")
+          .value_or("");
   const std::size_t checkpoint_every = cli.get_size(
       "checkpoint-every", 0,
       "scenarios per checkpoint write (0 = only the final file)");
